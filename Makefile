@@ -67,7 +67,11 @@ bench-full:
 # Result-cache smoke (see DESIGN.md "Result cache & incremental
 # recomputation"): the bench-quick grid configuration runs twice against
 # a fresh cache directory. The second run must take cache hits, finish
-# faster, and emit byte-identical figures.
+# faster, and emit byte-identical figures. Then the resume leg: a run
+# that loses xz/rrs/1000 to an injected panic exits 1 with partial
+# results in a second directory, and a fault-free rerun over that
+# directory must emit the cold run's bytes while simulating exactly one
+# cell, the lost one.
 cache-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	echo "--- cold run into $$dir"; \
@@ -85,6 +89,17 @@ cache-smoke:
 	grep -q 'cell cache: [1-9][0-9]* hits' "$$dir/warm.err" || { echo "FAIL: warm run took no cache hits"; exit 1; }; \
 	cmp -s "$$dir/cold.out" "$$dir/warm.out" || { echo "FAIL: warm output differs from cold"; exit 1; }; \
 	test "$$warm_ms" -lt "$$cold_ms" || { echo "FAIL: warm run not faster ($${warm_ms}ms vs $${cold_ms}ms)"; exit 1; }; \
+	echo "--- resume: a run losing xz/rrs/1000 to a panic, then a fault-free rerun"; \
+	$(GO) run ./cmd/figures -workloads spec -window 4 -figure 7 -cache-dir "$$dir/resume" \
+		-faults 'xz/rrs/1000=panic@p:1' >"$$dir/faulted.out" 2>"$$dir/faulted.err"; code=$$?; \
+	test $$code -eq 1 || { cat "$$dir/faulted.err"; echo "FAIL: faulted run exited $$code, want 1"; exit 1; }; \
+	grep -q 'xz/rrs/1000' "$$dir/faulted.out" || { echo "FAIL: faulted run did not name the lost cell"; exit 1; }; \
+	$(GO) run ./cmd/figures -workloads spec -window 4 -figure 7 -cache-dir "$$dir/resume" \
+		>"$$dir/resumed.out" 2>"$$dir/resumed.err" || { cat "$$dir/resumed.err"; echo "FAIL: resumed run"; exit 1; }; \
+	grep -o 'cell cache: .*' "$$dir/resumed.err"; \
+	grep -q 'cell cache: [0-9]* hits, [0-9]* misses, [0-9]* deduped, 1 simulated' "$$dir/resumed.err" \
+		|| { echo "FAIL: resumed run did not simulate exactly the lost cell"; exit 1; }; \
+	cmp -s "$$dir/cold.out" "$$dir/resumed.out" || { echo "FAIL: resumed output differs from cold"; exit 1; }; \
 	echo "cache-smoke OK"
 
 # Trace capture/replay smoke (see DESIGN.md "Trace capture & replay"):
@@ -116,8 +131,8 @@ trace-smoke:
 #     clients retry with seeded backoff, and every completed job's output
 #     is byte-identical to testdata/lab_golden.txt.
 #   chaos — server A SIGKILLs itself mid-grid holding a compute lease;
-#     server B on the same cache/checkpoint directories must finish the
-#     duplicate job byte-identically via lease expiry + resume.
+#     server B on the same cache directory must finish the duplicate job
+#     byte-identically via lease expiry + cache resume.
 serve-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/aquaserve" ./cmd/aquaserve || exit 1; \
@@ -125,7 +140,7 @@ serve-smoke:
 	echo "--- overload: duplicate grids vs a full queue (429 + seeded-backoff retry)"; \
 	"$$dir/aquaload" -mode load -serve-bin "$$dir/aquaserve" -golden testdata/lab_golden.txt \
 		-n 40 -c 16 -expect-shed || { echo "FAIL: load smoke"; exit 1; }; \
-	echo "--- chaos: SIGKILL a worker mid-grid, recover via lease expiry + resume"; \
+	echo "--- chaos: SIGKILL a worker mid-grid, recover via lease expiry + cache resume"; \
 	"$$dir/aquaload" -mode chaos -serve-bin "$$dir/aquaserve" -golden testdata/lab_golden.txt \
 		|| { echo "FAIL: chaos smoke"; exit 1; }; \
 	echo "serve-smoke OK"

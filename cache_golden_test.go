@@ -5,11 +5,12 @@ package repro
 //
 //   - a lab rendered entirely from a warm on-disk cache emits the exact
 //     golden byte stream, without simulating a single cell;
-//   - the cache composes with the PR 4 checkpoint: a resumed lab with a
-//     warm cache still reproduces the golden bytes, serves cells from
-//     both sources, and double-counts nothing;
-//   - fault-injected cells re-simulate on every run even with a warm
-//     cache, and appear exactly once in the degraded-cell summary.
+//   - a run that lost a cell to an injected panic resumes from the cache:
+//     a fault-free lab reproduces the golden bytes, simulates only the
+//     lost cell, and double-counts nothing;
+//   - fault-injected cells are keyed by their fault plans: a repeat run
+//     under the same rules is served them from the cache, and they appear
+//     exactly once in the degraded-cell summary.
 
 import (
 	"os"
@@ -71,10 +72,10 @@ func TestLabCacheWarmGolden(t *testing.T) {
 	}
 }
 
-// TestLabCacheResumeInteraction composes the cache with the checkpoint:
-// a lab resuming a partial checkpoint over a warm cache must render the
-// golden bytes exactly, serving the checkpointed cells from the file
-// and the rest from the cache — still with zero simulations.
+// TestLabCacheResumeInteraction composes resume with fault injection: a
+// lab whose run lost one cell to an injected panic leaves every other
+// cell in the store, and a fault-free lab over the same directory renders
+// the golden bytes exactly while simulating only the lost cell.
 func TestLabCacheResumeInteraction(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "lab_golden.txt"))
 	if err != nil {
@@ -82,66 +83,46 @@ func TestLabCacheResumeInteraction(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Warm the cache with a full cold render.
-	cold := labAt(1)
-	cold.AttachCache(warmStore(t, dir))
-	if _, err := renderGoldenLab(cold); err != nil {
-		t.Fatal(err)
+	// Partial run: xz/rrs/1000 panics, so the renderers needing it fail;
+	// every other cell completes and is stored.
+	partial := faultedLab(t, "xz/rrs/1000=panic@p:1")
+	partial.AttachCache(warmStore(t, dir))
+	failed := 0
+	for _, r := range Renderers() {
+		if _, err := r.Fn(partial); err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("the panicking cell did not fail its renderers")
 	}
 
-	// Partial checkpointed run (no cache): two renderers' worth of cells.
-	ckpt := filepath.Join(t.TempDir(), "lab.ckpt")
-	partial := labAt(1)
-	if err := partial.AttachCheckpoint(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := partial.Figure7(); err != nil {
-		t.Fatal(err)
-	}
-	if err := partial.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume with both sources attached.
 	resumed := labAt(1)
 	resumed.AttachCache(warmStore(t, dir))
-	if err := resumed.AttachCheckpoint(ckpt); err != nil {
-		t.Fatal(err)
-	}
 	got, err := renderGoldenLab(resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := resumed.CheckpointHits(); hits == 0 {
-		t.Fatal("resumed lab never hit the checkpoint")
-	}
-	if err := resumed.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
 	if got != string(want) {
-		t.Errorf("resumed+cached lab diverged from golden:\n%s", firstDiff(string(want), got))
+		t.Errorf("resumed lab diverged from golden:\n%s", firstDiff(string(want), got))
 	}
 	cs := resumed.CellStats()
-	if cs.Simulated != 0 {
-		t.Fatalf("resumed lab stats %+v; simulated %d cells, want 0", cs, cs.Simulated)
+	if cs.Simulated != 1 || cs.CacheHits == 0 {
+		t.Fatalf("resumed lab stats %+v; want only the lost cell simulated, the rest served", cs)
 	}
-	if cs.CacheHits == 0 {
-		t.Fatalf("resumed lab stats %+v; the non-checkpointed cells should have come from the cache", cs)
-	}
-	// No double counting: checkpoint-served cells never enter the cell
-	// accounting, so hits + dedup + simulated covers exactly the cache-path
-	// requests.
+	// No double counting: every request is a hit, a dedup, a simulation or
+	// an error.
 	if total := cs.CacheHits + cs.Deduped() + cs.Simulated + cs.Errors; total != cs.Requests {
 		t.Fatalf("stats %+v don't add up: %d accounted of %d requests", cs, total, cs.Requests)
 	}
 }
 
-// TestLabCacheFaultedCellsResimulate pins the fault exclusion at the lab
-// level: with a warm cache, a fault-matched cell still re-simulates on
-// every run (its injections are observed each time) and is listed
-// exactly once in the degraded summary; the clean cells around it are
-// served from the cache.
-func TestLabCacheFaultedCellsResimulate(t *testing.T) {
+// TestLabCacheFaultedCellsServed pins fault-plan keying at the lab level:
+// with a warm cache, a second run under the same rules is served the
+// fault-matched cell from its plan-keyed entry — injections intact, so it
+// is listed exactly once in the degraded summary — along with the clean
+// cells around it, and simulates nothing.
+func TestLabCacheFaultedCellsServed(t *testing.T) {
 	const spec = "wrf/aqua-sram/1000=refresh-collision@p:0.5"
 	store, err := cellcache.New("")
 	if err != nil {
@@ -179,6 +160,6 @@ func TestLabCacheFaultedCellsResimulate(t *testing.T) {
 		t.Fatalf("second run stats %+v; clean cells should be served from the cache", cs)
 	}
 	if cs.Simulated != 0 {
-		t.Fatalf("second run stats %+v; only the faulted cell may simulate, and it bypasses this accounting", cs)
+		t.Fatalf("second run stats %+v; the faulted cell must be served like the clean ones", cs)
 	}
 }

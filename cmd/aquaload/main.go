@@ -16,11 +16,11 @@
 // Chaos mode is the crash-recovery acceptance test: it spawns server A
 // armed with a worker-kill fault (SIGKILL at the -kill-at cell-start
 // ordinal), submits the golden grid, and lets A die mid-grid holding a
-// compute lease. It then spawns server B on the same cache/checkpoint
-// directories, resubmits the identical job, and requires B to complete
-// it byte-identical to golden — resuming A's durable cells and
+// compute lease. It then spawns server B on the same cache directory,
+// resubmits the identical job, and requires B to complete it
+// byte-identical to golden — serving A's durable cells from the cache and
 // reclaiming A's expired lease instead of wedging. /stats must show the
-// reclaim and the cache/checkpoint handoff.
+// reclaim and the cache handoff.
 //
 // Exit status 0 iff every assertion holds.
 package main
@@ -376,13 +376,9 @@ func runChaos(ctx context.Context, want string) bool {
 	}
 	defer os.RemoveAll(dir)
 	cacheDir := filepath.Join(dir, "cells")
-	ckptDir := filepath.Join(dir, "ckpt")
-	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
 	shared := []string{
 		"-workers", "1", "-cell-parallel", "1", "-queue", "4",
-		"-cache-dir", cacheDir, "-ckpt-dir", ckptDir,
+		"-cache-dir", cacheDir,
 		"-lease-ttl", leaseTTL.String(),
 		"-seed", strconv.FormatUint(*seed, 10),
 	}
@@ -414,9 +410,9 @@ func runChaos(ctx context.Context, want string) bool {
 		return false
 	}
 
-	// Server B: same cache + checkpoint directories, no faults. The
-	// duplicate job must resume A's durable cells and reclaim A's
-	// orphaned lease once it expires.
+	// Server B: same cache directory, no faults. The duplicate job must
+	// serve A's durable cells from the cache and reclaim A's orphaned
+	// leases once they expire.
 	b, err := spawn(ctx, "resume", shared...)
 	if err != nil {
 		log.Fatal(err)
@@ -455,14 +451,14 @@ func runChaos(ctx context.Context, want string) bool {
 		log.Printf("FAIL: stats: %v", err)
 		return false
 	}
-	log.Printf("server B stats: simulated %d, cache hits %d, ckpt hits %d, lease reclaims %d, lease waits %d",
-		stats.Cells.Simulated, stats.Cells.CacheHits, stats.CkptHits, stats.Leases.Reclaimed, stats.Cells.LeaseWaits)
+	log.Printf("server B stats: simulated %d, cache hits %d, lease reclaims %d, lease waits %d",
+		stats.Cells.Simulated, stats.Cells.CacheHits, stats.Leases.Reclaimed, stats.Cells.LeaseWaits)
 	if stats.Leases.Reclaimed < 1 {
 		log.Printf("FAIL: B never reclaimed A's orphaned lease")
 		ok = false
 	}
-	if stats.CkptHits+stats.Cells.CacheHits < 1 {
-		log.Printf("FAIL: no crash handoff: B neither hit A's checkpoint nor its cached cells")
+	if stats.Cells.CacheHits < 1 {
+		log.Printf("FAIL: no crash handoff: B served none of A's cached cells")
 		ok = false
 	}
 	// "No cell computed more than twice": A computed each cell at most
@@ -474,7 +470,7 @@ func runChaos(ctx context.Context, want string) bool {
 		ok = false
 	}
 	if ok {
-		log.Printf("PASS: crash mid-grid recovered via lease expiry + cache/checkpoint resume")
+		log.Printf("PASS: crash mid-grid recovered via lease expiry + cache resume")
 	}
 	return ok
 }

@@ -9,7 +9,6 @@
 //	aquaserve -queue 8 -workers 2         # admission bound and worker pool
 //	aquaserve -cell-parallel 1            # per-job cell parallelism (0 = all cores)
 //	aquaserve -cache-dir /shared/cells    # shared content-addressed result store
-//	aquaserve -ckpt-dir /shared/ckpt      # per-job-key checkpoints (crash handoff)
 //	aquaserve -lease-ttl 30s              # compute-lease expiry (crash recovery bound)
 //	aquaserve -deadline 10m               # default per-job deadline
 //	aquaserve -drain-timeout 30s          # graceful-shutdown grace window
@@ -21,7 +20,7 @@
 //	aquaserve -faults '*/*/*=worker-kill@once:2'
 //
 // worker-kill arms SIGKILL this process at the matching cell-start
-// ordinal — the hard-crash the lease/checkpoint machinery exists to
+// ordinal — the hard-crash the lease and cache machinery exists to
 // survive. All other fault kinds pass through to the simulator.
 //
 // On startup the resolved listen address is printed to stdout as
@@ -29,7 +28,7 @@
 // concrete), which is what aquaload's process harness parses. SIGINT or
 // SIGTERM begins a drain: /readyz flips to 503, queued jobs cancel,
 // running jobs get the drain window, then everything hard-cancels.
-// Completed cells are durable in the cache/checkpoints either way.
+// Completed cells are durable in the cache either way.
 package main
 
 import (
@@ -60,7 +59,6 @@ func main() {
 		workers      = flag.Int("workers", 2, "concurrent jobs")
 		cellParallel = flag.Int("cell-parallel", 0, "per-job cell parallelism (0 = all cores)")
 		cacheDir     = flag.String("cache-dir", "", "shared result-store directory (empty = in-memory)")
-		ckptDir      = flag.String("ckpt-dir", "", "checkpoint directory for crash handoff (empty = off)")
 		leaseTTL     = flag.Duration("lease-ttl", 30*time.Second, "compute-lease expiry")
 		deadline     = flag.Duration("deadline", 10*time.Minute, "default per-job deadline")
 		drainT       = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown grace window")
@@ -88,7 +86,6 @@ func main() {
 		DefaultDeadline: *deadline,
 		RetryAfter:      *retryAfter,
 		CacheDir:        *cacheDir,
-		CkptDir:         *ckptDir,
 		Faults:          rules,
 		Seed:            *seed,
 		Clock:           realClock(),

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analytic"
 	"repro/internal/cellcache"
@@ -68,26 +67,16 @@ func AllWorkloads() []string { return sim.AllCaseNames() }
 // SPECWorkloads returns the 18 SPEC rate workload names.
 func SPECWorkloads() []string { return sim.SPECCaseNames() }
 
-// Lab runs the paper's experiments with a shared result cache, so figures
-// that need the same (workload, scheme, threshold) cell don't re-simulate.
-// A Lab is safe for concurrent use, and every simulation-backed figure
-// first fans its grid out to a worker pool (LabOptions.Parallel wide)
-// before rendering serially from the cache — so tables come out
-// byte-identical to a serial run at any parallelism.
+// Lab runs the paper's experiments on one sim.Runner, whose memo serves
+// figures that need the same (workload, scheme, threshold) cell without
+// re-simulating. A Lab is safe for concurrent use, and every
+// simulation-backed figure first fans its grid out to a worker pool
+// (LabOptions.Parallel wide) before rendering serially from the memo —
+// so tables come out byte-identical to a serial run at any parallelism.
 type Lab struct {
 	opts   LabOptions
 	ctx    context.Context
 	runner *sim.Runner
-
-	mu     sync.Mutex
-	cache  map[labKey]sim.WorkloadRun // guarded by mu
-	flight flight.Group[labKey, sim.WorkloadRun]
-}
-
-type labKey struct {
-	workload string
-	scheme   Scheme
-	trh      int64
 }
 
 // NewLab builds a Lab.
@@ -121,31 +110,18 @@ func NewLab(opts LabOptions) *Lab {
 			DisableTraceReplay: opts.NoTraceReplay,
 			TraceBudgetBytes:   opts.TraceBudgetBytes,
 		}),
-		cache: make(map[labKey]sim.WorkloadRun),
 	}
 }
 
-// AttachCheckpoint persists completed cells to path and serves already-
-// completed cells from it, so an interrupted lab run can resume with
-// byte-identical output. The file is bound to the lab's configuration;
-// attaching one written under different options is an error.
-func (l *Lab) AttachCheckpoint(path string) error { return l.runner.AttachCheckpoint(path) }
-
-// CheckpointHits reports how many results were served from the attached
-// checkpoint instead of being recomputed.
-func (l *Lab) CheckpointHits() int64 { return l.runner.CheckpointHits() }
-
-// CloseCheckpoint flushes and closes the attached checkpoint, surfacing
-// any append error encountered during the run.
-func (l *Lab) CloseCheckpoint() error { return l.runner.CloseCheckpoint() }
-
-// AttachCache attaches a content-addressed result store: clean completed
-// cells are served from it without re-simulating and written back to it
-// as they complete (see DESIGN.md "Result cache & incremental
-// recomputation"). Unlike a checkpoint, the store is shared across any
-// number of configurations — the key hashes the configuration, so a
-// changed option simply misses. Fault-injected and cancelled cells never
-// enter the store.
+// AttachCache attaches a content-addressed result store: completed cells
+// and calibrations are served from it without re-simulating and written
+// back to it as they complete (see DESIGN.md "Result cache & incremental
+// recomputation"). The store is shared across any number of
+// configurations — the key hashes the configuration, fault plans
+// included, so a changed option simply misses — which also makes it the
+// resume mechanism: a lab over the directory an interrupted run wrote
+// simulates only what that run did not finish. Failed and cancelled
+// cells never enter the store.
 func (l *Lab) AttachCache(s *cellcache.Store) { l.runner.AttachCellCache(s) }
 
 // AttachLeaser attaches a cross-process compute coordinator to the lab's
@@ -167,63 +143,30 @@ type FaultedCell struct {
 }
 
 // FaultedCells lists every completed cell whose run had injected faults,
-// in canonical workload/scheme/trh order. Cells that failed outright are
-// not in the cache and are reported through CellError instead.
+// in canonical workload/scheme/trh order. Cells that failed outright never
+// complete and are reported through CellError instead.
 func (l *Lab) FaultedCells() []FaultedCell {
-	l.mu.Lock()
 	var out []FaultedCell
-	for k, r := range l.cache {
+	for _, r := range l.runner.Completed() {
 		if n := r.Result.FaultStats.Injected; n > 0 {
-			out = append(out, FaultedCell{Workload: k.workload, Scheme: k.scheme, TRH: k.trh, Injected: n})
+			out = append(out, FaultedCell{Workload: r.Workload, Scheme: r.Scheme, TRH: r.TRH, Injected: n})
 		}
 	}
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Scheme != b.Scheme {
-			return a.Scheme < b.Scheme
-		}
-		return a.TRH < b.TRH
-	})
 	return out
 }
 
-// Run measures one workload under one scheme at a threshold, caching the
-// result. Concurrent callers asking for the same cell share one
-// simulation.
+// Run measures one workload under one scheme at a threshold through the
+// runner's resolution path: the result is memoized (and stored, with a
+// cache attached), and concurrent callers asking for the same cell share
+// one simulation.
 //
 //detertaint:root
 func (l *Lab) Run(name string, scheme Scheme, trh int64) (sim.WorkloadRun, error) {
-	key := labKey{name, scheme, trh}
-	l.mu.Lock()
-	r, ok := l.cache[key]
-	l.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	return l.flight.DoCtx(l.ctx, key, func() (sim.WorkloadRun, error) {
-		l.mu.Lock()
-		r, ok := l.cache[key]
-		l.mu.Unlock()
-		if ok {
-			return r, nil
-		}
-		r, err := l.runner.RunCtx(l.ctx, name, scheme, trh)
-		if err != nil {
-			return sim.WorkloadRun{}, err
-		}
-		l.mu.Lock()
-		l.cache[key] = r
-		l.mu.Unlock()
-		return r, nil
-	})
+	return l.runner.RunCtx(l.ctx, name, scheme, trh)
 }
 
 // Precompute simulates every (workload, cell) combination of the lab's
-// workload set into the cache, fanning the grid out to at most
+// workload set into the runner's memo, fanning the grid out to at most
 // LabOptions.Parallel concurrent workers. Figures call it before
 // rendering; callers sweeping several figures can warm the union of
 // their grids (e.g. PaperGrid) in one parallel pass up front.
@@ -806,16 +749,16 @@ func StorageReport() string {
 	return b.String()
 }
 
-// SortedCacheKeys lists the lab's cached cells (for debugging/reports).
+// SortedCacheKeys lists the lab's completed cells — baseline cells
+// included — as sorted "workload/scheme/trh" strings (for
+// debugging/reports).
 //
 //detertaint:root
 func (l *Lab) SortedCacheKeys() []string {
-	l.mu.Lock()
 	var keys []string
-	for k := range l.cache {
-		keys = append(keys, fmt.Sprintf("%s/%s/%d", k.workload, k.scheme, k.trh))
+	for _, r := range l.runner.Completed() {
+		keys = append(keys, fmt.Sprintf("%s/%s/%d", r.Workload, r.Scheme, r.TRH))
 	}
-	l.mu.Unlock()
 	sort.Strings(keys)
 	return keys
 }

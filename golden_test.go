@@ -32,7 +32,7 @@ func renderGolden() (string, error) {
 }
 
 // renderGoldenLab renders every registry renderer (render.go — shared
-// with the experiment farm and the checkpoint/resume acceptance tests,
+// with the experiment farm and the cache resume acceptance tests,
 // which must reproduce this byte stream) on the given lab.
 func renderGoldenLab(l *Lab) (string, error) {
 	return RenderAll(l)

@@ -1,19 +1,19 @@
 // Package cellcache is the content-addressed result store behind the
-// experiment engine's incremental recomputation: grid-cell results are
-// keyed by a hash of everything that determines them (see sim.CellKey),
-// so a repeat run serves finished cells from the store instead of
-// simulating them again.
+// experiment engine's incremental recomputation and resume: grid-cell
+// results and calibrations are keyed by a hash of everything that
+// determines them, fault plans included (see sim.CellKey), so a repeat or
+// resumed run serves finished units from the store instead of simulating
+// them again.
 //
 // The store is two-tiered. The in-memory tier is a plain map and always
 // present; the on-disk tier (one file per key under a cache directory)
-// is optional and survives the process. Disk writes follow the same
-// durability discipline as the PR 4 checkpoint: the entry is written to
-// a temp file, fsynced, and renamed into place, so a reader never sees
-// a torn entry. Each file carries a checksum header; an entry that fails
-// the checksum — corruption, truncation, a foreign file — is treated as
-// a miss, never as an error, mirroring the checkpoint's torn-tail
-// tolerance. Stale entries cannot be served at all: any semantic change
-// to the simulator bumps sim.SchemaVersion, which changes every key.
+// is optional and survives the process. Disk writes are durable: the
+// entry is written to a temp file, fsynced, and renamed into place, so a
+// reader never sees a torn entry. Each file carries a checksum header; an
+// entry that fails the checksum — corruption, truncation, a foreign file
+// — is treated as a miss, never as an error. Stale entries cannot be
+// served at all: any semantic change to the simulator bumps
+// sim.SchemaVersion, which changes every key.
 //
 // Values are opaque bytes to this package; the sim layer encodes and
 // decodes them and performs its own identity validation on top.

@@ -17,9 +17,10 @@
 //     job never touches another.
 //   - Deadlines: per-job context.WithTimeout, flowing through the sim
 //     core's dual-stride cancellation checks.
-//   - Crash handoff: completed cells land in the shared cellcache and a
-//     per-job-key checkpoint; a worker SIGKILLed mid-grid leaves at most
-//     one live lease, which expires and is reclaimed by the next job.
+//   - Crash handoff: completed cells land in the shared cellcache as
+//     they finish; a worker SIGKILLed mid-grid leaves only the leases of
+//     the cells it was computing, which expire and are reclaimed by the
+//     next job, which serves everything else from the cache.
 //   - Graceful drain: Shutdown stops admission, cancels queued jobs,
 //     gives running jobs a grace window, then hard-cancels; completed
 //     cells are already durable, so a resubmitted job resumes.
@@ -33,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -83,9 +83,6 @@ type Options struct {
 	// in-memory only: in-process dedup still works, cross-process
 	// handoff doesn't).
 	CacheDir string
-	// CkptDir, when set, holds per-job-key checkpoint files for crash
-	// handoff of partially completed grids.
-	CkptDir string
 	// Faults arms harness-level fault injection. WorkerKill arms are
 	// consumed here (at cell-start ordinals, via Kill); everything else
 	// passes to the sim layer per cell.
@@ -145,8 +142,9 @@ type Server struct {
 	opts  Options
 	store *cellcache.Store
 	// simRules is opts.Faults with the harness-level worker-kill arms
-	// stripped: the sim layer must never see them, or matched cells
-	// would ride the cache-bypassing fault path.
+	// stripped: the sim layer must never see them, or they would enter
+	// the matched cells' cache keys and a crashed server's cells could
+	// never be served to a clean one.
 	simRules *fault.Rules
 	// killPlan holds the worker-kill arms, evaluated at cell-start
 	// ordinals by each job's injector.
@@ -161,20 +159,14 @@ type Server struct {
 	mu   sync.Mutex
 	jobs map[string]*Job // guarded by mu
 	// order preserves submission order for /stats listings.
-	order []string // guarded by mu
-	// ckptBusy marks job keys whose checkpoint file is attached to a
-	// running job; a concurrent duplicate runs without a checkpoint
-	// rather than corrupting a shared append stream.
-	ckptBusy map[string]bool // guarded by mu
-	draining bool            // guarded by mu
-	shed     int64           // guarded by mu
-	seq      int64           // guarded by mu
-	running  int             // guarded by mu
+	order    []string // guarded by mu
+	draining bool     // guarded by mu
+	shed     int64    // guarded by mu
+	seq      int64    // guarded by mu
+	running  int      // guarded by mu
 	// agg accumulates finished jobs' cell stats for /stats.
-	agg sim.CellStats // guarded by mu
-	// aggCkptHits accumulates finished jobs' checkpoint hits.
-	aggCkptHits int64 // guarded by mu
-	started     bool  // guarded by mu
+	agg     sim.CellStats // guarded by mu
+	started bool          // guarded by mu
 }
 
 // New builds a Server (validating options) without starting workers.
@@ -196,7 +188,6 @@ func New(opts Options) (*Server, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*Job),
-		ckptBusy: make(map[string]bool),
 	}, nil
 }
 
@@ -315,7 +306,6 @@ func (s *Server) runJob(job *Job) {
 	}()
 
 	lab := s.buildLab(ctx, job)
-	ckptAttached := s.attachCkpt(lab, job)
 
 	var failures []string
 	var output string
@@ -331,23 +321,11 @@ func (s *Server) runJob(job *Job) {
 		}
 		output += sec
 	}
-	// Read the hit counter before CloseCheckpoint detaches the state.
-	ckptHits := lab.CheckpointHits()
-	if ckptAttached {
-		if err := lab.CloseCheckpoint(); err != nil && ctx.Err() == nil {
-			failures = append(failures, fmt.Sprintf("checkpoint: %v", err))
-		}
-		s.mu.Lock()
-		delete(s.ckptBusy, job.Key)
-		s.mu.Unlock()
-	}
-
 	cells := lab.CellStats()
 	job.mu.Lock()
 	job.output = output
 	job.failures = failures
 	job.cells = cells
-	job.ckptHits = ckptHits
 	if err := ctx.Err(); err != nil {
 		job.errMsg = err.Error()
 	} else if output == "" && len(failures) > 0 {
@@ -373,7 +351,6 @@ func (s *Server) runJob(job *Job) {
 	s.agg.Errors += cells.Errors
 	s.agg.LeaseWaits += cells.LeaseWaits
 	s.agg.LeaseHits += cells.LeaseHits
-	s.aggCkptHits += ckptHits
 	s.mu.Unlock()
 }
 
@@ -422,38 +399,10 @@ func (s *Server) cellStartHook(job *Job) func(string, repro.Scheme, int64) {
 	}
 }
 
-// attachCkpt attaches the per-job-key checkpoint when a directory is
-// configured and no running job already owns that key's file. Reports
-// whether it attached.
-func (s *Server) attachCkpt(lab *repro.Lab, job *Job) bool {
-	if s.opts.CkptDir == "" {
-		return false
-	}
-	s.mu.Lock()
-	if s.ckptBusy[job.Key] {
-		// A duplicate job is appending to this key's file right now;
-		// running without a checkpoint only costs handoff durability for
-		// this execution — the cache still dedupes the work.
-		s.mu.Unlock()
-		return false
-	}
-	s.ckptBusy[job.Key] = true
-	s.mu.Unlock()
-	path := filepath.Join(s.opts.CkptDir, job.Key+".ckpt")
-	if err := lab.AttachCheckpoint(path); err != nil {
-		// A foreign or corrupt file refuses to attach; run without.
-		s.mu.Lock()
-		delete(s.ckptBusy, job.Key)
-		s.mu.Unlock()
-		return false
-	}
-	return true
-}
-
 // Shutdown drains the server: admission stops (readyz and Submit refuse),
 // queued jobs are cancelled, and running jobs get until ctx ends to
 // finish before being hard-cancelled. Completed cells are durable in the
-// cache/checkpoints either way, so a resubmission after restart resumes
+// cache either way, so a resubmission after restart resumes
 // instead of recomputing. Returns nil when everything finished inside
 // the grace window, or ctx's error after a hard cancel.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -524,7 +473,6 @@ type StatsSnapshot struct {
 	Shed        int64                `json:"shed"`
 	JobsByState map[JobState]int     `json:"jobs_by_state"`
 	Cells       sim.CellStats        `json:"cells"`
-	CkptHits    int64                `json:"ckpt_hits"`
 	Store       cellcache.Stats      `json:"store"`
 	Leases      cellcache.LeaseStats `json:"leases"`
 }
@@ -547,7 +495,6 @@ func (s *Server) Stats() StatsSnapshot {
 		Shed:        s.shed,
 		JobsByState: byState,
 		Cells:       s.agg,
-		CkptHits:    s.aggCkptHits,
 	}
 	s.mu.Unlock()
 	snap.Store = s.store.Stats()

@@ -82,8 +82,7 @@ func (s *JobSpec) validate() error {
 // Key is the content hash of everything that determines the job's
 // output: the lab configuration and the renderer list. The deadline is
 // excluded — it bounds wall-clock, never bytes. Duplicate jobs share a
-// key, which names their shared checkpoint file and lets operators spot
-// dedup in /stats.
+// key, which lets operators spot dedup in /stats.
 func (s JobSpec) Key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "aqua-job-v1\nwindow_us=%d seed=%#x calibrate=%t\n", s.WindowUS, s.Seed, s.Calibrate)
@@ -140,9 +139,6 @@ type Job struct {
 	finished  time.Time // guarded by mu
 	// cells snapshots the job lab's cell accounting at completion.
 	cells sim.CellStats // guarded by mu
-	// ckptHits counts cells served from the job's checkpoint (crash
-	// handoff from a previous execution of the same key).
-	ckptHits int64 // guarded by mu
 
 	// done is closed when the job reaches a terminal state.
 	done chan struct{}
@@ -159,7 +155,6 @@ type JobStatus struct {
 	Started   time.Time     `json:"started,omitzero"`
 	Finished  time.Time     `json:"finished,omitzero"`
 	Cells     sim.CellStats `json:"cells"`
-	CkptHits  int64         `json:"ckpt_hits"`
 	HasOutput bool          `json:"has_output"`
 }
 
@@ -177,7 +172,6 @@ func (j *Job) Status() JobStatus {
 		Started:   j.started,
 		Finished:  j.finished,
 		Cells:     j.cells,
-		CkptHits:  j.ckptHits,
 		HasOutput: j.output != "",
 	}
 }

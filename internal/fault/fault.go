@@ -65,10 +65,10 @@ const (
 	// WorkerKill is a harness-level fault consumed by the experiment farm
 	// (internal/farm), never by the simulator: when it fires at a cell-start
 	// opportunity the worker process is SIGKILLed mid-grid, exercising lease
-	// expiry and checkpoint handoff. The farm strips WorkerKill arms out of
-	// the rules before handing them to the sim layer (Rules.WithoutKind), so
-	// a kill rule does not put matched cells onto the cache-bypassing fault
-	// path.
+	// expiry and cache handoff. The farm strips WorkerKill arms out of the
+	// rules before handing them to the sim layer (Rules.WithoutKind), so a
+	// kill rule never enters the matched cells' cache keys and a crashed
+	// server's cells are served to a clean one.
 	WorkerKill
 
 	// NumKinds bounds the enum for per-kind arrays.

@@ -259,7 +259,7 @@ func TestKindPlanAndWithoutKind(t *testing.T) {
 	}
 
 	// WithoutKind strips the harness-level arms and rebuilds the canonical
-	// spec, so ckpt signatures only bind the rules the sim layer sees.
+	// spec, leaving only the rules the sim layer sees.
 	stripped := r.WithoutKind(WorkerKill)
 	if got, want := stripped.String(), "xz/rrs/1000=panic@once:0"; got != want {
 		t.Fatalf("WithoutKind canonical spec = %q, want %q", got, want)

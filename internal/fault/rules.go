@@ -34,7 +34,9 @@ type rule struct {
 // Rules maps grid cells to fault plans. A nil *Rules matches nothing.
 type Rules struct {
 	rules []rule
-	spec  string // canonical form, stable for checkpoint signatures
+	// spec is the canonical text form, stable across re-parses.
+	//aquakey:exclude display form only; cache keys hash the plans PlanFor resolves for each unit
+	spec string
 }
 
 // ParseRules parses the -faults grammar. An empty spec returns nil (no
@@ -142,9 +144,8 @@ func (ru rule) String() string {
 	return fmt.Sprintf("%s/%s/%s=%s@%s", ru.workload, ru.scheme, trh, ru.arm.Kind, ru.arm.Schedule)
 }
 
-// String returns the canonical spec: parse-stable, used in checkpoint
-// signatures so a resumed run provably carries the same fault rules. A
-// nil *Rules renders as the empty string.
+// String returns the canonical spec: parse-stable, so a printed rule set
+// re-parses to the same rules. A nil *Rules renders as the empty string.
 func (r *Rules) String() string {
 	if r == nil {
 		return ""

@@ -32,9 +32,11 @@ func TestRunGridDedupSimulatesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Per workload: 3 requested cells + 1 baseline row, of which the
-		// repeated aqua cell is a duplicate -> 3 unique simulations.
+		// repeated aqua cell is a duplicate -> 3 unique simulations. The
+		// two simulated scheme cells each resolve the baseline cell as a
+		// dependency, which counts as a request too.
 		st := r.CellStats()
-		wantRequests := int64(len(gridNames) * (len(dupCells) + 1))
+		wantRequests := int64(len(gridNames) * (len(dupCells) + 1 + 2))
 		wantSimulated := int64(len(gridNames) * 3)
 		if st.Requests != wantRequests {
 			t.Fatalf("parallel=%d: %d requests, want %d (stats %+v)", parallel, st.Requests, wantRequests, st)
@@ -101,7 +103,7 @@ func TestCellCacheSchemaBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldKey, err := r1.cellKeyAt("aqua-cell-v0", "xz", SchemeAquaMemMapped, 1000)
+	oldKey, err := r1.keyAt("aqua-cell-v1", "cell", cellKey{"xz", SchemeAquaMemMapped, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +119,9 @@ func TestCellCacheSchemaBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The cell and its baseline dependency both simulate.
 	st := r2.CellStats()
-	if st.CacheHits != 0 || st.Simulated != 1 {
+	if st.CacheHits != 0 || st.Simulated != 2 {
 		t.Fatalf("stats %+v; a stale-generation entry must be a miss, not a hit", st)
 	}
 	if !reflect.DeepEqual(got, run) {
@@ -163,7 +166,9 @@ func TestCellCacheCorruptEntry(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("recomputed result diverged after corruption")
 	}
-	if st := r2.CellStats(); st.CacheHits != 0 || st.Simulated != 1 {
+	// The corrupt cell recomputes; its intact baseline dependency is
+	// served from disk.
+	if st := r2.CellStats(); st.CacheHits != 1 || st.Simulated != 1 {
 		t.Fatalf("stats %+v; corrupt entry must read as a miss", st)
 	}
 	if st := s2.Stats(); st.Corrupt != 1 {
@@ -204,53 +209,124 @@ func TestCellCachePayloadMismatch(t *testing.T) {
 	if got.Workload != "xz" || got.Scheme != SchemeAquaMemMapped {
 		t.Fatalf("served a foreign cell: %s/%s", got.Workload, got.Scheme)
 	}
-	if st := r2.CellStats(); st.CacheHits != 0 || st.Simulated != 1 {
+	// The cell and its baseline dependency both simulate.
+	if st := r2.CellStats(); st.CacheHits != 0 || st.Simulated != 2 {
 		t.Fatalf("stats %+v; mismatched payload must be a miss", st)
 	}
 }
 
-// TestFaultedCellNeverCached pins the fault-injection exclusion: a cell
-// matched by a fault rule bypasses the cache on every request — its
-// results are never stored, and repeat requests re-simulate so injected
-// behaviour is observed each time.
-func TestFaultedCellNeverCached(t *testing.T) {
+// TestFaultedCellPlanKeyed pins the fault-plan keying: a faulted cell is
+// stored under a key that hashes its plan, so a fault-free Runner on the
+// same store misses it, while a second Runner under the same rules is
+// served the faulted result, injections included, without simulating.
+func TestFaultedCellPlanKeyed(t *testing.T) {
 	rules, err := fault.ParseRules("lbm/aqua-memmapped/125=rqa-overflow@p:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := gridCfg(1)
-	cfg.Faults = rules
+	faulted := gridCfg(1)
+	faulted.Faults = rules
 	store, err := cellcache.New("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(cfg)
-	r.AttachCellCache(store)
-	first, err := r.Run("lbm", SchemeAquaMemMapped, 125)
+	r1 := NewRunner(faulted)
+	r1.AttachCellCache(store)
+	first, err := r1.Run("lbm", SchemeAquaMemMapped, 125)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r.Run("lbm", SchemeAquaMemMapped, 125)
+	if first.Result.FaultStats.Injected == 0 {
+		t.Fatal("injected faults not observed")
+	}
+
+	faultedKey, err := r1.CellKey("lbm", SchemeAquaMemMapped, 125)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Result.FaultStats.Injected == 0 || second.Result.FaultStats.Injected == 0 {
-		t.Fatalf("injected faults not observed (first %d, second %d)",
-			first.Result.FaultStats.Injected, second.Result.FaultStats.Injected)
-	}
-	if st := store.Stats(); st.Puts != 0 {
-		t.Fatalf("store stats %+v; a faulted cell was cached", st)
-	}
-	if st := r.CellStats(); st.Requests != 0 {
-		t.Fatalf("cell stats %+v; faulted requests must bypass cache accounting", st)
-	}
-	// The unmatched cell of the same run still caches normally.
-	if _, err := r.Run("wrf", SchemeRRS, 1000); err != nil {
+	clean := NewRunner(gridCfg(1))
+	cleanKey, err := clean.CellKey("lbm", SchemeAquaMemMapped, 125)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Stats(); st.Puts == 0 {
-		t.Fatalf("store stats %+v; the clean cell should have been stored", st)
+	if faultedKey == cleanKey {
+		t.Fatal("the faulted cell keys like its fault-free run")
 	}
+	// The rule leaves the baseline alone, so the baseline key is shared.
+	if a, b := mustKey(t, r1, "lbm", SchemeBaseline, 1000), mustKey(t, clean, "lbm", SchemeBaseline, 1000); a != b {
+		t.Fatal("an unmatched baseline cell keys differently under unrelated rules")
+	}
+
+	clean.AttachCellCache(store)
+	got, err := clean.Run("lbm", SchemeAquaMemMapped, 125)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Result.FaultStats.Injected != 0 {
+		t.Fatal("a fault-free Runner was served the faulted result")
+	}
+	if st := clean.CellStats(); st.Simulated != 1 {
+		t.Fatalf("fault-free stats %+v; want the cell simulated and its baseline served", st)
+	}
+
+	r2 := NewRunner(faulted)
+	r2.AttachCellCache(store)
+	again, err := r2.Run("lbm", SchemeAquaMemMapped, 125)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Fatalf("served faulted cell diverged:\nwant %+v\ngot  %+v", first, again)
+	}
+	if st := r2.CellStats(); st.Simulated != 0 || st.CacheHits != 1 {
+		t.Fatalf("second faulted stats %+v; want one cache hit, nothing simulated", st)
+	}
+}
+
+// TestBaselineFaultNeverPoisonsCache: a rule that matches only a
+// workload's baseline changes every other cell of that workload (they
+// are normalized against it), so those cells must key apart from their
+// fault-free runs. A fault-free Runner on the same store must get the
+// clean result.
+func TestBaselineFaultNeverPoisonsCache(t *testing.T) {
+	want, err := NewRunner(gridCfg(1)).Run("xz", SchemeRRS, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cellcache.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := gridCfg(1)
+	faulted.Faults = mustRules(t, "xz/baseline/1000=ecc-flip@p:1")
+	r1 := NewRunner(faulted)
+	r1.AttachCellCache(store)
+	poisoned, err := r1.Run("xz", SchemeRRS, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if poisoned.NormIPC == want.NormIPC {
+		t.Fatal("the baseline-only rule did not change the scheme cell; the test has no teeth")
+	}
+
+	r2 := NewRunner(gridCfg(1))
+	r2.AttachCellCache(store)
+	got, err := r2.Run("xz", SchemeRRS, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fault-free Runner served a baseline-faulted result:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+func mustKey(t *testing.T, r *Runner, name string, scheme Scheme, trh int64) string {
+	t.Helper()
+	k, err := r.CellKey(name, scheme, trh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 // TestCancelledCellNotCached pins the cancellation exclusion: a cell cut

@@ -1,16 +1,14 @@
 package sim
 
-// Content-addressed cell caching (see DESIGN.md "Result cache &
-// incremental recomputation"). Every grid cell is a pure function of the
+// Content-addressed keys (see DESIGN.md "Result cache & incremental
+// recomputation"). Every unit of work is a pure function of the
 // experiment configuration, so its result can be stored under a hash of
-// that configuration and served on any later run — across processes,
-// unlike the checkpoint, which binds one file to one run configuration.
+// that configuration and served on any later run, in any process.
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -18,53 +16,77 @@ import (
 )
 
 // SchemaVersion names the generation of simulation semantics that cached
-// cell results belong to. Bump it whenever a change alters any simulated
+// results belong to. Bump it whenever a change alters any simulated
 // number — timing model, scheme behaviour, workload synthesis, the
-// request-budget formula — and every previously written entry hashes to
-// a key no runner will ever ask for again: stale results cannot be
-// served, only ignored.
-const SchemaVersion = "aqua-cell-v1"
+// request-budget formula — or what a key covers, and every previously
+// written entry hashes to a key no runner will ever ask for again: stale
+// results cannot be served, only ignored. v2 added the fault plans to
+// every key and the calibrated IPC as a unit of its own.
+const SchemaVersion = "aqua-cell-v2"
+
+// cellKey is one grid cell's identity inside a Runner.
+type cellKey struct {
+	workload string
+	scheme   Scheme
+	trh      int64
+}
+
+// baselineOf is the workload's measured baseline: the cell every other
+// cell of the workload is normalized against.
+func baselineOf(name string) cellKey { return cellKey{name, SchemeBaseline, 1000} }
 
 // CellKey returns the content-addressed cache key for one grid cell: a
 // SHA-256 over the schema version, every ExpConfig field that determines
-// simulated numbers (window, cores, seed, calibration, geometry,
-// timing), the cell identity, and the per-core workload specs with their
-// static request budgets.
+// simulated numbers (window, cores, seed, calibration, geometry, timing,
+// the fault plans), the cell identity, and the per-core workload specs
+// with their static request budgets.
 //
-// Two deliberate exclusions: Parallel and Retries change wall-clock and
-// recovery only, never results; and fault rules are omitted because a
-// cell matched by a rule bypasses the cache entirely (see RunCtx) while
-// an unmatched cell is bit-identical to its fault-free run — so clean
-// cells are shared between faulted and fault-free invocations.
+// The key covers the cell's own fault plan and its workload's baseline
+// plan, because the cell is normalized against the baseline cell and
+// simulates at the calibrated IPC, and both of those run under the
+// baseline plan. A cell the rules don't touch therefore keys exactly like
+// its fault-free run, while one whose baseline is faulted never does.
 //
-// The request budget is recorded at nominal IPC 1.0. The calibrated
-// budget scales with the measured baseline IPC, which is itself a
-// deterministic function of everything already hashed, so the static
-// budget pins it transitively.
+// Parallel, Retries and the other wall-clock or recovery knobs are
+// excluded: they never change a result. The request budget is recorded
+// at nominal IPC 1.0. The calibrated budget scales with the measured
+// baseline IPC, which is itself a deterministic function of everything
+// already hashed, so the static budget pins it transitively.
 func (r *Runner) CellKey(name string, scheme Scheme, trh int64) (string, error) {
-	return r.cellKeyAt(SchemaVersion, name, scheme, trh)
+	return r.keyAt(SchemaVersion, "cell", cellKey{name, scheme, trh})
 }
 
-// cellKeyAt is CellKey under an explicit schema version (tests derive
-// old-generation keys with it to prove a bump invalidates).
+// ipcKey addresses a workload's calibrated IPC. Calibration is the
+// baseline pass at nominal IPC 1.0, so the unit is keyed like the
+// baseline cell under its own kind, and covers the baseline plan.
+func (r *Runner) ipcKey(name string) (string, error) {
+	return r.keyAt(SchemaVersion, "ipc", baselineOf(name))
+}
+
+// keyAt derives a unit's key under an explicit schema version (tests
+// derive old-generation keys with it to prove a bump invalidates).
 //
 // The aquakey:hash annotation is the keycoverage analyzer's contract:
 // every field of ExpConfig and workload.Spec must be hashed below or
 // carry an //aquakey:exclude on its declaration.
 //
 //aquakey:hash ExpConfig workload.Spec
-func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64) (string, error) {
-	specs, err := caseSpecs(name)
+func (r *Runner) keyAt(version, kind string, k cellKey) (string, error) {
+	specs, err := caseSpecs(k.workload)
 	if err != nil {
 		return "", err
 	}
+	base := baselineOf(k.workload)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", version)
 	fmt.Fprintf(&b, "window=%d cores=%d seed=%#x calibrate=%t\n",
 		r.cfg.Window, r.cfg.Cores, r.cfg.Seed, r.cfg.Calibrate)
 	fmt.Fprintf(&b, "geom=%+v\n", r.cfg.Geometry)
 	fmt.Fprintf(&b, "timing=%+v\n", r.cfg.Timing)
-	fmt.Fprintf(&b, "cell=%s/%s/%d\n", name, scheme, trh)
+	fmt.Fprintf(&b, "%s=%s/%s/%d\n", kind, k.workload, k.scheme, k.trh)
+	fmt.Fprintf(&b, "faults=%+v baseline-faults=%+v\n",
+		r.cfg.Faults.PlanFor(k.workload, k.scheme.String(), k.trh),
+		r.cfg.Faults.PlanFor(base.workload, base.scheme.String(), base.trh))
 	windowInstr := float64(r.cfg.Window) / 1e12 * 3e9
 	for i := 0; i < r.cfg.Cores && i < len(specs); i++ {
 		sp := specs[i]
@@ -76,11 +98,11 @@ func (r *Runner) cellKeyAt(version, name string, scheme Scheme, trh int64) (stri
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// AttachCellCache attaches a content-addressed store: clean completed
-// cells are served from it without constructing a System and written
-// back to it as they complete. Fault-injected and cancelled cells never
+// AttachCellCache attaches a content-addressed store: completed cells
+// and calibrations are served from it without constructing a System and
+// written back to it as they complete. Failed and cancelled units never
 // enter the store. Pass nil to detach.
-func (r *Runner) AttachCellCache(s *cellcache.Store) { r.cells = s }
+func (r *Runner) AttachCellCache(s *cellcache.Store) { r.store = s }
 
 // CellLeaser lifts singleflight semantics to the cache layer: where the
 // in-process flight.Group coalesces concurrent callers inside one
@@ -91,7 +113,7 @@ func (r *Runner) AttachCellCache(s *cellcache.Store) { r.cells = s }
 // business.
 type CellLeaser interface {
 	// Claim tries to acquire the compute lease for the content-addressed
-	// cache key, reporting whether the caller should simulate the cell.
+	// cache key, reporting whether the caller should compute the unit.
 	// False means another owner holds a live lease.
 	Claim(key string) bool
 	// Wait blocks until the lease for key may have changed hands (the
@@ -112,38 +134,11 @@ type CellLeaser interface {
 // read concurrently afterwards.
 func (r *Runner) AttachLeaser(l CellLeaser) { r.leaser = l }
 
-// awaitLease is the lease protocol around one missed cell: claim, and
-// while another owner holds the lease, wait and re-poll the store. It
-// returns (run, true, nil) when the cell landed in the store while
-// waiting, (zero, false, nil) when the lease was acquired — the caller
-// must simulate and then Release — and an error only on cancellation.
-func (r *Runner) awaitLease(ctx context.Context, key cellKey, hash string) (WorkloadRun, bool, error) {
-	for {
-		if r.leaser.Claim(hash) {
-			return WorkloadRun{}, false, nil
-		}
-		r.mu.Lock()
-		r.cellStats.LeaseWaits++
-		r.mu.Unlock()
-		if err := r.leaser.Wait(ctx, hash); err != nil {
-			return WorkloadRun{}, false, err
-		}
-		if run, ok := r.cacheLookup(key); ok {
-			r.mu.Lock()
-			r.cellStats.CacheHits++
-			r.cellStats.LeaseHits++
-			r.cellMemo[key] = run
-			r.mu.Unlock()
-			return run, true, nil
-		}
-	}
-}
-
-// CellStats summarizes how RunCtx requests for cacheable (fault-free)
-// cells were satisfied. Checkpoint-served cells are counted separately
-// by CheckpointHits; fault-injected cells bypass this accounting.
+// CellStats summarizes how cell requests were satisfied. A cell's
+// baseline dependency counts as a request of its own; calibration units
+// are not cells and are not counted.
 type CellStats struct {
-	// Requests is the number of cacheable cell requests.
+	// Requests is the number of cell requests.
 	Requests int64
 	// CacheHits were served from the attached content-addressed cache.
 	CacheHits int64
@@ -176,9 +171,8 @@ type CellStats struct {
 }
 
 // Deduped is the number of requests served from an identical cell
-// already resolved in this run — the in-memory memo or a coalesced
-// in-flight execution — rather than from the cache or a fresh
-// simulation.
+// already resolved in this Runner — the memo or a coalesced in-flight
+// execution — rather than from the store or a fresh simulation.
 func (s CellStats) Deduped() int64 {
 	d := s.Requests - s.CacheHits - s.Simulated - s.Errors
 	if d < 0 {
@@ -192,40 +186,4 @@ func (r *Runner) CellStats() CellStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cellStats
-}
-
-// cacheLookup decodes a stored cell. Any defect — undecodable payload,
-// identity mismatch — reads as a miss, never an error or a wrong result.
-func (r *Runner) cacheLookup(key cellKey) (WorkloadRun, bool) {
-	hash, err := r.CellKey(key.workload, key.scheme, key.trh)
-	if err != nil {
-		return WorkloadRun{}, false
-	}
-	data, ok := r.cells.Get(hash)
-	if !ok {
-		return WorkloadRun{}, false
-	}
-	var run WorkloadRun
-	if err := json.Unmarshal(data, &run); err != nil {
-		return WorkloadRun{}, false
-	}
-	if run.Workload != key.workload || run.Scheme != key.scheme || run.TRH != key.trh {
-		return WorkloadRun{}, false
-	}
-	return run, true
-}
-
-// cacheStore writes a clean completed cell. encoding/json round-trips
-// float64 exactly, so a later run serving this entry renders the same
-// bytes an uncached run would.
-func (r *Runner) cacheStore(key cellKey, run WorkloadRun) {
-	hash, err := r.CellKey(key.workload, key.scheme, key.trh)
-	if err != nil {
-		return
-	}
-	data, err := json.Marshal(run)
-	if err != nil {
-		return
-	}
-	r.cells.Put(hash, data)
 }

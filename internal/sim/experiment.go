@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/cellcache"
@@ -46,8 +48,8 @@ type ExpConfig struct {
 	// Faults maps grid cells to injected fault plans (see fault.ParseRules
 	// for the grammar). Nil means no faults anywhere. Cell-level kinds
 	// ("panic", "transient") fire before the simulation is built; hardware
-	// kinds are threaded through the system layers.
-	//aquakey:exclude a cell matched by a fault rule bypasses the cache entirely (see RunCtx); unmatched cells are bit-identical to fault-free runs
+	// kinds are threaded through the system layers. Every key hashes the
+	// plans its unit depends on (see CellKey).
 	Faults *fault.Rules
 	// Retries bounds re-attempts for transiently failing cells (default 2
 	// re-attempts after the first try; negative disables retry). Transient
@@ -56,8 +58,9 @@ type ExpConfig struct {
 	//aquakey:exclude retry count changes recovery behaviour only; a cell that succeeds yields the same bytes on any attempt
 	Retries int
 	// OnCellStart, when set, is called at the start of every cell compute
-	// attempt (after cache/memo/checkpoint resolution — served cells never
-	// fire it). The experiment farm hooks it to count compute opportunities
+	// attempt, the baseline cell's included (after memo/cache resolution —
+	// served cells never fire it; calibration is not a cell and never
+	// does). The experiment farm hooks it to count compute opportunities
 	// for harness-level fault injection (fault.WorkerKill); it must not
 	// mutate anything the simulation reads.
 	//aquakey:exclude observation hook; fires only on cells that actually simulate and cannot change their results
@@ -137,11 +140,12 @@ type WorkloadRun struct {
 }
 
 // Runner executes workload x scheme grids with shared calibration. A
-// Runner is safe for concurrent use: the per-workload calibration and
-// baseline measurement are cached under a mutex and deduplicated with
-// singleflight semantics, so concurrent cells wanting the same workload
-// block on one shared pass instead of repeating it, while each cell's
-// own simulation runs on a fully isolated system build.
+// Runner is safe for concurrent use: every cell and every workload's
+// calibration resolves through one memoized, singleflight-coalesced,
+// content-addressed path (resolve.go), so concurrent cells wanting the
+// same workload's baseline block on one shared pass instead of repeating
+// it, while each cell's own simulation runs on a fully isolated system
+// build.
 type Runner struct {
 	cfg ExpConfig
 	// region is the software-visible address region, fixed for the
@@ -157,28 +161,23 @@ type Runner struct {
 	// to count attempts. Deliberately not time-based by default — the
 	// simulator is deterministic and wall-clock sleeps are banned.
 	retryBackoff func(attempt int)
-	// ckpt, when attached, persists completed cells so an interrupted grid
-	// run can resume without recomputing them. Nil-safe: all lookups on a
-	// nil checkpoint miss.
-	ckpt *checkpoint
-	// cells, when attached, is the content-addressed result cache (see
-	// cellkey.go): clean completed cells are served from it across
-	// processes and written back to it. Nil means no cache.
-	cells *cellcache.Store
-	// leaser, when attached alongside cells, coordinates cell computation
-	// across processes sharing the cache: a missed cell claims a compute
+	// store, when attached, is the content-addressed result store (see
+	// cellkey.go): completed units are served from it across processes
+	// and written back to it. Nil means no store.
+	store *cellcache.Store
+	// leaser, when attached alongside store, coordinates computation
+	// across processes sharing the store: a missed unit claims a compute
 	// lease before simulating, and a claim lost to another owner polls the
 	// store instead of duplicating the work (see CellLeaser). Nil means
 	// every miss simulates.
 	leaser CellLeaser
 
+	// cells and ipcs are the two kinds of shared work (resolve.go): grid
+	// cells, keyed by identity, and calibrated IPCs, keyed by workload.
+	cells units[cellKey, WorkloadRun]
+	ipcs  units[string, calibration]
+
 	mu sync.Mutex
-	// calibrated per-workload IPC from the baseline pass.
-	ipcCache map[string]float64 // guarded by mu
-	// measured baseline results, keyed by workload (the baseline run
-	// depends only on the workload and its calibrated IPC, not on the
-	// scheme or threshold being compared against).
-	baseCache map[string]Result // guarded by mu
 	// genCache shares workload generators across grid cells. A generator
 	// is a pure function of (spec, core, nominal IPC) under the Runner's
 	// fixed region/seed/params and is immutable once built, so every cell
@@ -192,17 +191,8 @@ type Runner struct {
 	traceMem   map[genKey]*trace.Packed    // guarded by mu
 	traceDisk  map[genKey]*trace.MappedSet // guarded by mu
 	traceBytes int64                       // guarded by mu
-	// cellMemo memoizes clean completed cells for the life of the Runner,
-	// so identical grid cells (the same baseline repeated at every sweep
-	// point) simulate at most once even with no cache attached and even
-	// when requested sequentially.
-	cellMemo map[cellKey]WorkloadRun // guarded by mu
-	// cellStats counts how cacheable cell requests were satisfied.
+	// cellStats counts how cell requests were satisfied.
 	cellStats CellStats // guarded by mu
-
-	ipcFlight  flight.Group[string, float64]
-	baseFlight flight.Group[string, Result]
-	cellFlight flight.Group[cellKey, WorkloadRun]
 }
 
 type genKey struct {
@@ -218,12 +208,9 @@ func NewRunner(cfg ExpConfig) *Runner {
 	cfg.fillDefaults()
 	r := &Runner{
 		cfg:       cfg,
-		ipcCache:  make(map[string]float64),
-		baseCache: make(map[string]Result),
 		genCache:  make(map[genKey]*workload.Generator),
 		traceMem:  make(map[genKey]*trace.Packed),
 		traceDisk: make(map[genKey]*trace.MappedSet),
-		cellMemo:  make(map[cellKey]WorkloadRun),
 	}
 	if err := cfg.validate(); err != nil {
 		r.initErr = err
@@ -283,42 +270,6 @@ func (g *GridError) Error() string {
 		return g.Cells[0].Error()
 	}
 	return fmt.Sprintf("%d cells failed (first: %v)", len(g.Cells), g.Cells[0])
-}
-
-// measuredBaseline runs (or returns the cached) baseline measurement for a
-// workload at the given nominal IPC.
-func (r *Runner) measuredBaseline(ctx context.Context, name string, nominal float64) (Result, error) {
-	r.mu.Lock()
-	res, ok := r.baseCache[name]
-	r.mu.Unlock()
-	if ok {
-		return res, nil
-	}
-	return r.baseFlight.DoCtx(ctx, name, func() (Result, error) {
-		// A flight that completed between the cache miss and Do may have
-		// already stored the result.
-		r.mu.Lock()
-		res, ok := r.baseCache[name]
-		r.mu.Unlock()
-		if ok {
-			return res, nil
-		}
-		if res, ok := r.ckpt.lookupBase(name); ok {
-			r.mu.Lock()
-			r.baseCache[name] = res
-			r.mu.Unlock()
-			return res, nil
-		}
-		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, nominal, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		r.mu.Lock()
-		r.baseCache[name] = res
-		r.mu.Unlock()
-		r.ckpt.storeBase(name, res)
-		return res, nil
-	})
 }
 
 // Config returns the effective experiment configuration.
@@ -417,64 +368,35 @@ func (r *Runner) generator(spec workload.Spec, coreIdx int, nominalIPC float64) 
 	return gen
 }
 
-// baselineIPC returns (and caches) the calibrated baseline IPC for a case.
-func (r *Runner) baselineIPC(ctx context.Context, name string) (float64, error) {
-	r.mu.Lock()
-	ipc, ok := r.ipcCache[name]
-	r.mu.Unlock()
-	if ok {
-		return ipc, nil
-	}
-	return r.ipcFlight.DoCtx(ctx, name, func() (float64, error) {
-		r.mu.Lock()
-		ipc, ok := r.ipcCache[name]
-		r.mu.Unlock()
-		if ok {
-			return ipc, nil
-		}
-		if ipc, ok := r.ckpt.lookupIPC(name); ok {
-			r.mu.Lock()
-			r.ipcCache[name] = ipc
-			r.mu.Unlock()
-			return ipc, nil
-		}
-		res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, 1.0, 0)
-		if err != nil {
-			return 0, err
-		}
-		ipc = res.IPC
-		if ipc <= 0.01 {
-			ipc = 0.01
-		}
-		if ipc > 2 {
-			ipc = 2
-		}
-		r.mu.Lock()
-		r.ipcCache[name] = ipc
-		r.mu.Unlock()
-		r.ckpt.storeIPC(name, ipc)
-		return ipc, nil
-	})
+// calibration is a workload's calibrated IPC: the IPC of its baseline
+// pass at nominal IPC 1.0, clamped to [0.01, 2]. It is stored as a JSON
+// object like every cell.
+type calibration struct {
+	Workload string
+	IPC      float64
 }
 
-// baseline resolves the shared per-workload work — the calibration pass
-// (when enabled) and the baseline measurement — and returns the baseline
-// result plus the nominal IPC every cell of this workload simulates at.
-// Concurrent callers for the same workload share one execution.
-func (r *Runner) baseline(ctx context.Context, name string) (Result, float64, error) {
-	nominal := 1.0
-	if r.cfg.Calibrate {
-		ipc, err := r.baselineIPC(ctx, name)
-		if err != nil {
-			return Result{}, 0, err
-		}
-		nominal = ipc
+// nominalIPC returns the IPC every cell of a workload simulates at: the
+// calibrated IPC when calibration is on, else 1.0. The calibration is a
+// unit of its own, resolved like a cell and protected like one.
+func (r *Runner) nominalIPC(ctx context.Context, name string) (float64, error) {
+	if !r.cfg.Calibrate {
+		return 1, nil
 	}
-	base, err := r.measuredBaseline(ctx, name, nominal)
-	if err != nil {
-		return Result{}, 0, err
-	}
-	return base, nominal, nil
+	c, err := r.ipcs.resolve(ctx, r, name, work[calibration]{
+		hash:  func() (string, error) { return r.ipcKey(name) },
+		valid: func(c calibration) bool { return c.Workload == name },
+		compute: func() (calibration, error) {
+			c := calibration{Workload: name}
+			err := r.protect(baselineOf(name), func(attempt int) error {
+				res, err := r.runOnce(ctx, name, SchemeBaseline, 1000, 1.0, Config{}, attempt)
+				c.IPC = min(max(res.IPC, 0.01), 2)
+				return err
+			})
+			return c, err
+		},
+	})
+	return c.IPC, err
 }
 
 // injectorFor arms the cell's injected faults. Cell-level kinds ("panic",
@@ -498,14 +420,9 @@ func (r *Runner) injectorFor(name string, scheme Scheme, trh int64, attempt int)
 	return inj, nil
 }
 
-// runOnce builds and runs one system.
-func (r *Runner) runOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64, attempt int) (Result, error) {
-	return r.runVariantOnce(ctx, name, scheme, trh, nominalIPC, Config{}, attempt)
-}
-
-// runVariantOnce builds and runs one system with structural overrides
-// (tracker kind, bloom/cache sizing, proactive drain) merged in.
-func (r *Runner) runVariantOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64, overrides Config, attempt int) (Result, error) {
+// runOnce builds and runs one system with structural overrides (tracker
+// kind, bloom/cache sizing, proactive drain) merged in.
+func (r *Runner) runOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64, overrides Config, attempt int) (Result, error) {
 	streams, err := r.streamsFor(name, nominalIPC)
 	if err != nil {
 		return Result{}, err
@@ -534,27 +451,29 @@ func (r *Runner) runVariantOnce(ctx context.Context, name string, scheme Scheme,
 	return sys.RunCtx(ctx, 0)
 }
 
-// protectCell runs fn with panic isolation and bounded retry, converting
-// any failure into a *CellError carrying the cell's identity (and, for a
-// recovered panic, the stack). Cancellation passes through untouched so
-// callers can tell "the run was stopped" from "this cell is broken".
-func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func(attempt int) error) error {
-	if r.initErr != nil {
-		return &CellError{Workload: name, Scheme: scheme, TRH: trh, Err: r.initErr}
+// protect runs fn with panic isolation and bounded retry, converting any
+// failure into a *CellError for cell k.
+func (r *Runner) protect(k cellKey, fn func(attempt int) error) error {
+	if err := flight.Retry(r.cfg.Retries+1, r.retryBackoff, fn); err != nil {
+		return cellError(k, err)
 	}
-	err := flight.Retry(r.cfg.Retries+1, r.retryBackoff, func(attempt int) error {
-		if r.cfg.OnCellStart != nil {
-			r.cfg.OnCellStart(name, scheme, trh)
-		}
-		return fn(attempt)
-	})
-	if err == nil {
-		return nil
-	}
+	return nil
+}
+
+// cellError attributes err to cell k. Cancellation passes through
+// untouched so callers can tell "the run was stopped" from "this cell is
+// broken"; a failure already attributed to k is kept as is; anything
+// else — a failed dependency included — is wrapped with k's identity
+// and, for a recovered panic, the stack.
+func cellError(k cellKey, err error) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	ce := &CellError{Workload: name, Scheme: scheme, TRH: trh, Err: err}
+	var ce *CellError
+	if errors.As(err, &ce) && (cellKey{ce.Workload, ce.Scheme, ce.TRH}) == k {
+		return err
+	}
+	ce = &CellError{Workload: k.workload, Scheme: k.scheme, TRH: k.trh, Err: err}
 	var pe *flight.PanicError
 	if errors.As(err, &pe) {
 		ce.Stack = pe.Stack
@@ -562,25 +481,70 @@ func (r *Runner) protectCell(name string, scheme Scheme, trh int64, fn func(atte
 	return ce
 }
 
-// runCell is one unprotected cell execution: baseline resolution plus the
-// scheme measurement, normalized.
-func (r *Runner) runCell(ctx context.Context, name string, scheme Scheme, trh int64, attempt int) (WorkloadRun, error) {
-	base, nominal, err := r.baseline(ctx, name)
+// resolveCell serves cell k through the resolution path (resolve.go).
+func (r *Runner) resolveCell(ctx context.Context, k cellKey) (WorkloadRun, error) {
+	return r.cells.resolve(ctx, r, k, work[WorkloadRun]{
+		cell: true,
+		hash: func() (string, error) { return r.CellKey(k.workload, k.scheme, k.trh) },
+		valid: func(run WorkloadRun) bool {
+			return run.Workload == k.workload && run.Scheme == k.scheme && run.TRH == k.trh
+		},
+		compute: func() (WorkloadRun, error) {
+			return r.measure(ctx, k, Config{}, k != baselineOf(k.workload))
+		},
+	})
+}
+
+// measure runs cell k's own pass, with structural overrides merged in,
+// at the workload's nominal IPC. With normalize set, the result is
+// normalized against the workload's baseline cell; the baseline cell
+// itself measures without it — it is the baseline, and resolving itself
+// as a dependency would wait on its own singleflight.
+//
+// Dependencies resolve before, not inside, the retried pass: each is
+// protected on its own, so a failed dependency is reported once and not
+// retried again by every cell that needs it.
+func (r *Runner) measure(ctx context.Context, k cellKey, overrides Config, normalize bool) (WorkloadRun, error) {
+	nominal, err := r.nominalIPC(ctx, k.workload)
+	if err != nil {
+		return WorkloadRun{}, cellError(k, err)
+	}
+	var base Result
+	if normalize {
+		b, err := r.resolveCell(ctx, baselineOf(k.workload))
+		if err != nil {
+			return WorkloadRun{}, cellError(k, err)
+		}
+		base = b.Result
+	}
+	run := WorkloadRun{Workload: k.workload, Scheme: k.scheme, TRH: k.trh, NormIPC: 1}
+	err = r.protect(k, func(attempt int) error {
+		if r.cfg.OnCellStart != nil {
+			r.cfg.OnCellStart(k.workload, k.scheme, k.trh)
+		}
+		res, err := r.runOnce(ctx, k.workload, k.scheme, k.trh, nominal, overrides, attempt)
+		if err != nil {
+			return err
+		}
+		run.Result = res
+		if base.IPC > 0 {
+			run.NormIPC = res.IPC / base.IPC
+		}
+		return nil
+	})
 	if err != nil {
 		return WorkloadRun{}, err
 	}
-	if scheme == SchemeBaseline {
-		return WorkloadRun{Workload: name, Scheme: scheme, TRH: trh, Result: base, NormIPC: 1}, nil
-	}
-	res, err := r.runOnce(ctx, name, scheme, trh, nominal, attempt)
-	if err != nil {
-		return WorkloadRun{}, err
-	}
-	norm := 1.0
-	if base.IPC > 0 {
-		norm = res.IPC / base.IPC
-	}
-	return WorkloadRun{Workload: name, Scheme: scheme, TRH: trh, Result: res, NormIPC: norm}, nil
+	return run, nil
+}
+
+// Completed lists every cell this Runner has resolved successfully —
+// simulated, served from the store, or coalesced — in canonical
+// workload/scheme/threshold order.
+func (r *Runner) Completed() []WorkloadRun {
+	return r.cells.sorted(func(a, b WorkloadRun) int {
+		return cmp.Or(strings.Compare(a.Workload, b.Workload), cmp.Compare(a.Scheme, b.Scheme), cmp.Compare(a.TRH, b.TRH))
+	})
 }
 
 // RunVariant measures one workload under a scheme with structural
@@ -590,30 +554,15 @@ func (r *Runner) RunVariant(name string, scheme Scheme, trh int64, overrides Con
 }
 
 // RunVariantCtx is RunVariant with cancellation, panic isolation and
-// retry. Variant runs are never checkpointed: the structural overrides are
-// not part of the checkpoint cell key.
+// retry. Variant runs are never memoized or stored: the structural
+// overrides are not part of the cell key. Their baseline and calibration
+// dependencies resolve like any cell's.
 func (r *Runner) RunVariantCtx(ctx context.Context, name string, scheme Scheme, trh int64, overrides Config) (WorkloadRun, error) {
-	var run WorkloadRun
-	err := r.protectCell(name, scheme, trh, func(attempt int) error {
-		base, nominal, err := r.baseline(ctx, name)
-		if err != nil {
-			return err
-		}
-		res, err := r.runVariantOnce(ctx, name, scheme, trh, nominal, overrides, attempt)
-		if err != nil {
-			return err
-		}
-		norm := 1.0
-		if base.IPC > 0 {
-			norm = res.IPC / base.IPC
-		}
-		run = WorkloadRun{Workload: name, Scheme: scheme, TRH: trh, Result: res, NormIPC: norm}
-		return nil
-	})
-	if err != nil {
-		return WorkloadRun{}, err
+	k := cellKey{name, scheme, trh}
+	if r.initErr != nil {
+		return WorkloadRun{}, cellError(k, r.initErr)
 	}
-	return run, nil
+	return r.measure(ctx, k, overrides, true)
 }
 
 // Run measures one workload under one scheme at the given threshold,
@@ -623,118 +572,23 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 }
 
 // RunCtx is Run with cancellation, panic isolation, bounded retry for
-// transient failures, checkpoint lookup/store, and cell caching. A
-// failure comes back as a *CellError (identity + cause + panic stack);
-// cancellation comes back as the context's error, unwrapped.
+// transient failures, and result caching. A failure comes back as a
+// *CellError (identity + cause + panic stack); cancellation comes back
+// as the context's error, unwrapped.
 //
-// Resolution order: the attached checkpoint (bound to this exact run
-// configuration) wins, then the in-memory memo, then a coalesced
-// in-flight execution of the same cell, then the content-addressed
-// cache, and only then a fresh simulation. Cells matched by a fault rule
-// skip everything but the checkpoint: they re-simulate on every request
-// so injected behaviour is observed, and their results never enter the
-// memo or the store. Failed (including cancelled) cells are never stored
-// anywhere — only clean, complete results persist.
+// The cell resolves through the Runner's one path (resolve.go): memo,
+// coalesced in-flight execution, the content-addressed store, the
+// compute lease, and only then a fresh simulation. Faulted cells take the
+// same path — their keys hash their fault plans — and failed (including
+// cancelled) cells are never stored anywhere.
 //
 //detertaint:root
 func (r *Runner) RunCtx(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
-	if run, ok := r.ckpt.lookupCell(name, scheme, trh); ok {
-		return run, nil
+	k := cellKey{name, scheme, trh}
+	if r.initErr != nil {
+		return WorkloadRun{}, cellError(k, r.initErr)
 	}
-	if !r.cfg.Faults.PlanFor(name, scheme.String(), trh).Empty() {
-		run, err := r.runCellProtected(ctx, name, scheme, trh)
-		if err != nil {
-			return WorkloadRun{}, err
-		}
-		r.ckpt.storeCell(run)
-		return run, nil
-	}
-	key := cellKey{name, scheme, trh}
-	r.mu.Lock()
-	r.cellStats.Requests++
-	run, ok := r.cellMemo[key]
-	r.mu.Unlock()
-	if ok {
-		return run, nil
-	}
-	run, err := r.cellFlight.DoCtx(ctx, key, func() (WorkloadRun, error) {
-		return r.computeCell(ctx, key)
-	})
-	if err != nil {
-		r.mu.Lock()
-		r.cellStats.Errors++
-		r.mu.Unlock()
-		return WorkloadRun{}, err
-	}
-	r.ckpt.storeCell(run)
-	return run, nil
-}
-
-// computeCell resolves one clean cell inside its singleflight execution:
-// memo recheck (a flight that completed between the caller's miss and
-// DoCtx may have stored it), then the content-addressed cache, then a
-// real simulation. Only clean results are memoized and stored.
-func (r *Runner) computeCell(ctx context.Context, key cellKey) (WorkloadRun, error) {
-	r.mu.Lock()
-	run, ok := r.cellMemo[key]
-	r.mu.Unlock()
-	if ok {
-		return run, nil
-	}
-	if r.cells != nil {
-		if run, ok := r.cacheLookup(key); ok {
-			r.mu.Lock()
-			r.cellStats.CacheHits++
-			r.cellMemo[key] = run
-			r.mu.Unlock()
-			return run, nil
-		}
-		r.mu.Lock()
-		r.cellStats.CacheMisses++
-		r.mu.Unlock()
-	}
-	if r.cells != nil && r.leaser != nil {
-		if hash, err := r.CellKey(key.workload, key.scheme, key.trh); err == nil {
-			run, served, err := r.awaitLease(ctx, key, hash)
-			if err != nil {
-				return WorkloadRun{}, err
-			}
-			if served {
-				return run, nil
-			}
-			defer r.leaser.Release(hash)
-		}
-	}
-	run, err := r.runCellProtected(ctx, key.workload, key.scheme, key.trh)
-	if err != nil {
-		return WorkloadRun{}, err
-	}
-	r.mu.Lock()
-	r.cellStats.Simulated++
-	r.cellMemo[key] = run
-	r.mu.Unlock()
-	// Defensive: the fault-rule branch in RunCtx already keeps injected
-	// cells out of this path, but no run that saw a fault may ever be
-	// served as a clean result.
-	if r.cells != nil && run.Result.FaultStats.Injected == 0 {
-		r.cacheStore(key, run)
-	}
-	return run, nil
-}
-
-// runCellProtected is one protected cell execution (panic isolation,
-// bounded retry), without any caching.
-func (r *Runner) runCellProtected(ctx context.Context, name string, scheme Scheme, trh int64) (WorkloadRun, error) {
-	var run WorkloadRun
-	err := r.protectCell(name, scheme, trh, func(attempt int) error {
-		var err error
-		run, err = r.runCell(ctx, name, scheme, trh, attempt)
-		return err
-	})
-	if err != nil {
-		return WorkloadRun{}, err
-	}
-	return run, nil
+	return r.resolveCell(ctx, k)
 }
 
 // RunGrid measures each workload under each (scheme, trh) pair, reusing
@@ -825,13 +679,9 @@ func (r *Runner) RowTierCounts(name string, tiers []int64) (map[int64]int, error
 	if r.initErr != nil {
 		return nil, r.initErr
 	}
-	nominal := 1.0
-	if r.cfg.Calibrate {
-		ipc, err := r.baselineIPC(context.Background(), name)
-		if err != nil {
-			return nil, err
-		}
-		nominal = ipc
+	nominal, err := r.nominalIPC(context.Background(), name)
+	if err != nil {
+		return nil, err
 	}
 	streams, err := r.streamsFor(name, nominal)
 	if err != nil {

@@ -65,17 +65,19 @@ func TestLeaserAcquiredPathSimulatesAndReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The scheme cell claims and releases its content-addressed key (the
-	// baseline pass is not a cacheable cell and never touches the leaser).
-	if len(l.claimed) != 1 || len(l.released) != 1 {
-		t.Fatalf("claims=%v releases=%v, want 1 each", l.claimed, l.released)
+	baseKey, err := r.CellKey("xz", SchemeBaseline, 1000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if l.claimed[0] != key || l.released[0] != key {
-		t.Fatalf("claimed/released %v/%v, want cell key %q", l.claimed, l.released, key)
+	// The scheme cell claims its content-addressed key, then — computing —
+	// its baseline dependency claims its own; each is released once its
+	// compute is done, innermost first.
+	if !reflect.DeepEqual(l.claimed, []string{key, baseKey}) || !reflect.DeepEqual(l.released, []string{baseKey, key}) {
+		t.Fatalf("claims=%v releases=%v, want cell then baseline claimed, baseline then cell released", l.claimed, l.released)
 	}
 	st := r.CellStats()
-	if st.Simulated != 1 || st.LeaseWaits != 0 {
-		t.Fatalf("stats %+v, want 1 simulated, 0 lease waits", st)
+	if st.Simulated != 2 || st.LeaseWaits != 0 {
+		t.Fatalf("stats %+v, want 2 simulated, 0 lease waits", st)
 	}
 }
 
@@ -159,23 +161,23 @@ func TestOnCellStartFiresPerComputeAttempt(t *testing.T) {
 	if _, err := r.Run("xz", SchemeAquaMemMapped, 1000); err != nil {
 		t.Fatal(err)
 	}
-	// One compute attempt for the scheme cell (the baseline pass inside
-	// it is shared infrastructure, not a cell).
-	if len(starts) != 1 || starts[0] != "xz/aqua-memmapped" {
-		t.Fatalf("OnCellStart fired %v, want exactly [xz/aqua-memmapped]", starts)
+	// One compute attempt for the baseline cell the scheme cell depends
+	// on, then one for the scheme cell.
+	if !reflect.DeepEqual(starts, []string{"xz/baseline", "xz/aqua-memmapped"}) {
+		t.Fatalf("OnCellStart fired %v, want exactly [xz/baseline xz/aqua-memmapped]", starts)
 	}
 	// A repeat of the same cell is served from the memo: no new fires.
 	if _, err := r.Run("xz", SchemeAquaMemMapped, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if len(starts) != 1 {
+	if len(starts) != 2 {
 		t.Fatalf("memo-served cell fired OnCellStart: %v", starts)
 	}
 	// A different cell fires again.
 	if _, err := r.Run("xz", SchemeRRS, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if len(starts) != 2 || starts[1] != "xz/rrs" {
+	if len(starts) != 3 || starts[2] != "xz/rrs" {
 		t.Fatalf("second cell: OnCellStart fired %v", starts)
 	}
 }

@@ -3,12 +3,11 @@ package sim
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cellcache"
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/flight"
@@ -143,38 +142,62 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 }
 
 // TestTransientRetry: an injected transient failure must be retried (with
-// the transient arms dropped) and converge to the fault-free result.
+// the transient arms dropped) and converge to the fault-free result —
+// on a scheme cell, and on every cell of a grid including the baseline
+// cells and their calibration, which are shared dependencies protected
+// like any cell.
 func TestTransientRetry(t *testing.T) {
-	clean, err := NewRunner(resCfg(nil)).Run("xz", SchemeRRS, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	names := []string{"xz", "wrf"}
+	cells := []GridCell{{Scheme: SchemeRRS, TRH: 1000}}
+	for _, tc := range []struct {
+		rules     string
+		calibrate bool
+		names     []string
+		// backoffs is the expected retry-backoff calls: one re-attempt per
+		// transient-failing compute.
+		backoffs []int
+	}{
+		{"xz/rrs/1000=transient@once:0", false, names[:1], []int{1}},
+		// Per workload: calibration, baseline cell and rrs cell each fail
+		// once and retry once.
+		{"*/*/*=transient@once:0", true, names, []int{1, 1, 1, 1, 1, 1}},
+	} {
+		cfg := resCfg(nil)
+		cfg.Calibrate = tc.calibrate
+		clean, err := NewRunner(cfg).RunGrid(tc.names, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	rules := mustRules(t, "xz/rrs/1000=transient@once:0")
-	r := NewRunner(resCfg(rules))
-	var attempts []int
-	r.retryBackoff = func(attempt int) { attempts = append(attempts, attempt) }
-	got, err := r.Run("xz", SchemeRRS, 1000)
-	if err != nil {
-		t.Fatalf("transient cell did not recover: %v", err)
-	}
-	if len(attempts) != 1 || attempts[0] != 1 {
-		t.Fatalf("backoff calls = %v, want [1]", attempts)
-	}
-	if !reflect.DeepEqual(got, clean) {
-		t.Fatalf("retried cell diverged from fault-free run:\ngot:   %+v\nclean: %+v", got, clean)
-	}
+		cfg.Faults = mustRules(t, tc.rules)
+		cfg.Parallel = 1
+		r := NewRunner(cfg)
+		var attempts []int
+		r.retryBackoff = func(attempt int) { attempts = append(attempts, attempt) }
+		got, err := r.RunGrid(tc.names, cells)
+		if err != nil {
+			t.Fatalf("%s: transient cells did not recover: %v", tc.rules, err)
+		}
+		if !reflect.DeepEqual(attempts, tc.backoffs) {
+			t.Fatalf("%s: backoff calls = %v, want %v", tc.rules, attempts, tc.backoffs)
+		}
+		if !reflect.DeepEqual(got, clean) {
+			t.Fatalf("%s: retried grid diverged from fault-free run:\ngot:   %+v\nclean: %+v", tc.rules, got, clean)
+		}
 
-	// With retries disabled the same cell must fail as a CellError.
-	noRetry := resCfg(rules)
-	noRetry.Retries = -1
-	_, err = NewRunner(noRetry).Run("xz", SchemeRRS, 1000)
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("unretried transient returned %v, want *CellError", err)
-	}
-	if !flight.IsTransient(ce) {
-		t.Fatalf("CellError should still expose the transient marker")
+		// With retries disabled the same cells must fail as CellErrors.
+		cfg.Retries = -1
+		_, err = NewRunner(cfg).Run("xz", SchemeRRS, 1000)
+		var ce *CellError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: unretried transient returned %v, want *CellError", tc.rules, err)
+		}
+		if ce.Workload != "xz" || ce.Scheme != SchemeRRS || ce.TRH != 1000 {
+			t.Fatalf("%s: failure attributed to %s/%s/%d, want xz/rrs/1000", tc.rules, ce.Workload, ce.Scheme, ce.TRH)
+		}
+		if !flight.IsTransient(ce) {
+			t.Fatalf("%s: CellError should still expose the transient marker", tc.rules)
+		}
 	}
 }
 
@@ -205,82 +228,56 @@ func TestGridCancellation(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume: a grid interrupted after partial completion and
-// resumed from its checkpoint must produce a byte-identical final grid
-// while serving the already-done cells from the file.
-func TestCheckpointResume(t *testing.T) {
+// TestCacheResume: a grid interrupted after partial completion on a disk
+// store and resumed by a fresh Runner over the same directory must
+// produce a byte-identical final grid, simulating only the cells the
+// first run did not finish and reusing its calibrations.
+func TestCacheResume(t *testing.T) {
 	names := []string{"xz", "wrf"}
 	cells := []GridCell{
 		{Scheme: SchemeRRS, TRH: 1000},
 		{Scheme: SchemeAquaMemMapped, TRH: 1000},
 	}
-	clean, err := NewRunner(resCfg(nil)).RunGrid(names, cells)
+	cfg := resCfg(nil)
+	cfg.Calibrate = true
+	clean, err := NewRunner(cfg).RunGrid(names, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "grid.ckpt")
-
-	// First run: only one workload — a stand-in for an interrupted grid
-	// that checkpointed part of the work.
-	r1 := NewRunner(resCfg(nil))
-	if err := r1.AttachCheckpoint(path); err != nil {
+	// First run: only the rrs column — a stand-in for a grid interrupted
+	// after calibrating both workloads and finishing part of the cells.
+	dir := t.TempDir()
+	s1, err := cellcache.New(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.RunGrid(names[:1], cells); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.CloseCheckpoint(); err != nil {
+	r1 := NewRunner(cfg)
+	r1.AttachCellCache(s1)
+	if _, err := r1.RunGrid(names, cells[:1]); err != nil {
 		t.Fatal(err)
 	}
 
-	// Resume: a fresh Runner on the same file completes the grid. The
-	// first workload's cells must be served from the checkpoint and the
-	// final grid must match an uninterrupted run exactly.
-	r2 := NewRunner(resCfg(nil))
-	if err := r2.AttachCheckpoint(path); err != nil {
+	// Resume: a fresh Runner over a fresh Store on the same directory.
+	s2, err := cellcache.New(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	r2 := NewRunner(cfg)
+	r2.AttachCellCache(s2)
 	grid, err := r2.RunGrid(names, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.CheckpointHits() == 0 {
-		t.Fatalf("resumed run never hit the checkpoint")
-	}
 	if !reflect.DeepEqual(grid, clean) {
 		t.Fatalf("resumed grid diverged from uninterrupted run:\ngot:  %+v\nwant: %+v", grid, clean)
 	}
-	if err := r2.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
+	// Only the two aqua cells are new. A rerun calibration would have
+	// been written back too.
+	if st := r2.CellStats(); st.Simulated != 2 || st.CacheHits == 0 {
+		t.Fatalf("resumed stats %+v, want 2 simulated and the rest served from disk", st)
 	}
-
-	// A config change must refuse the file rather than replay wrong
-	// numbers.
-	other := resCfg(nil)
-	other.Seed = 0xBADC0FFEE
-	r3 := NewRunner(other)
-	if err := r3.AttachCheckpoint(path); err == nil {
-		t.Fatalf("checkpoint accepted a different configuration")
-	}
-
-	// A torn trailing record (killed mid-append) must be tolerated.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r4 := NewRunner(resCfg(nil))
-	if err := r4.AttachCheckpoint(path); err != nil {
-		t.Fatalf("torn checkpoint refused: %v", err)
-	}
-	grid4, err := r4.RunGrid(names, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(grid4, clean) {
-		t.Fatalf("torn-checkpoint resume diverged from uninterrupted run")
+	if st := s2.Stats(); st.Puts != 2 {
+		t.Fatalf("resumed store stats %+v, want exactly the 2 new cells written", st)
 	}
 }

@@ -147,7 +147,7 @@ func (r *Runner) adoptDisk(key genKey, m *trace.MappedSet, hit bool) cpu.Stream 
 // timing, the spec, the core index, the calibrated nominal IPC, and the
 // request budget — mirroring CellKey's contract one level down.
 func (r *Runner) tracePath(spec workload.Spec, core int, nominal float64, reqs int64) string {
-	dir := r.cells.Dir()
+	dir := r.store.Dir()
 	if dir == "" {
 		return ""
 	}

@@ -173,7 +173,7 @@ func TestTraceSpillToDisk(t *testing.T) {
 	if err := corruptFile(files[0]); err != nil {
 		t.Fatal(err)
 	}
-	moreCells := []GridCell{{Scheme: SchemeAquaMemMapped, TRH: 3000}}
+	moreCells := []GridCell{{Scheme: SchemeAquaMemMapped, TRH: 3000}, {Scheme: SchemeRRS, TRH: 3000}}
 	want3, err := NewRunner(regenCfg).RunGrid([]string{"xz"}, moreCells)
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +195,9 @@ func TestTraceSpillToDisk(t *testing.T) {
 	if s3.TraceCaptures != 1 {
 		t.Fatalf("TraceCaptures = %d, want 1 (only the corrupt core recaptures)", s3.TraceCaptures)
 	}
-	// First build: cores-1 healthy spills hit, one recaptures. Second
-	// build: all cores hit the (rewritten) mappings.
+	// The baseline cell comes from the result store, so the two new cells
+	// are the only stream builds. First build: cores-1 healthy spills hit,
+	// one recaptures. Second build: all cores hit the (rewritten) mappings.
 	if want := 2*cores - 1; s3.TraceDiskHits != want {
 		t.Fatalf("TraceDiskHits = %d, want %d", s3.TraceDiskHits, want)
 	}

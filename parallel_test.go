@@ -120,8 +120,8 @@ func TestPrecomputeFillsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := l.SortedCacheKeys()
-	if len(keys) != 4 { // 2 workloads x 2 cells
-		t.Fatalf("precompute cached %d cells, want 4: %v", len(keys), keys)
+	if len(keys) != 6 { // 2 workloads x (2 cells + the baseline they depend on)
+		t.Fatalf("precompute cached %d cells, want 6: %v", len(keys), keys)
 	}
 }
 

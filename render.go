@@ -2,7 +2,7 @@ package repro
 
 // The canonical renderer registry: every simulation-backed table/figure,
 // in the fixed order the golden file (testdata/lab_golden.txt) commits
-// to. The golden test, the checkpoint/resume acceptance tests, and the
+// to. The golden test, the cache resume acceptance tests, and the
 // experiment farm all render through this registry, so "byte-identical
 // figures" means the same bytes everywhere.
 

@@ -11,7 +11,7 @@ package repro
 //   - a degraded cell (injected hardware fault the scheme recovered from)
 //     completes and shows up in FaultedCells;
 //   - a run interrupted after partial completion and resumed from its
-//     checkpoint reproduces the uninterrupted golden output exactly;
+//     cell cache reproduces the uninterrupted golden output exactly;
 //   - a cancelled lab surfaces the context's error.
 
 import (
@@ -125,46 +125,35 @@ func TestLabFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestLabCheckpointResumeGolden: a lab that completed only part of the
-// evaluation before stopping, then a fresh lab resumed from the same
-// checkpoint, must reproduce the uninterrupted golden byte stream exactly
-// — while provably serving the already-done cells from the file.
-func TestLabCheckpointResumeGolden(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lab.ckpt")
+// TestLabCacheResumeGolden: a lab that completed only part of the
+// evaluation on a disk store before stopping, then a fresh lab over the
+// same directory, must reproduce the uninterrupted golden byte stream
+// exactly — serving every cell the first lab finished from the store and
+// simulating only the rest.
+func TestLabCacheResumeGolden(t *testing.T) {
+	dir := t.TempDir()
 
 	// Partial run: two renderers' worth of cells, then stop (standing in
-	// for a run killed mid-grid; the checkpoint is synced per cell, so any
-	// kill point leaves a valid prefix).
+	// for a run killed mid-grid; each cell is durable once stored, so any
+	// kill point leaves the finished cells behind).
 	l1 := labAt(1)
-	if err := l1.AttachCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
+	l1.AttachCache(warmStore(t, dir))
 	if _, err := l1.Figure7(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l1.Figure10(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l1.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
+	done := l1.SortedCacheKeys()
 
-	// Resumed run: full render from a fresh lab on the same file.
+	// Resumed run: full render from a fresh lab and store on the same
+	// directory.
 	l2 := labAt(1)
-	if err := l2.AttachCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
+	l2.AttachCache(warmStore(t, dir))
 	got, err := renderGoldenLab(l2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.CheckpointHits() == 0 {
-		t.Fatalf("resumed lab never hit the checkpoint")
-	}
-	if err := l2.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-
 	want, err := os.ReadFile(filepath.Join("testdata", "lab_golden.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -172,17 +161,11 @@ func TestLabCheckpointResumeGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("resumed lab output diverged from golden:\n%s", firstDiff(string(want), got))
 	}
-
-	// The checkpoint must refuse a lab with different options.
-	l3 := NewLab(LabOptions{
-		Window:        500 * dram.PS(dram.Microsecond),
-		Workloads:     []string{"xz", "wrf"},
-		NoCalibration: true,
-		Parallel:      1,
-		Seed:          0xD15EA5E,
-	})
-	if err := l3.AttachCheckpoint(path); err == nil {
-		t.Fatalf("checkpoint accepted a lab with a different seed")
+	all := l2.SortedCacheKeys()
+	cs := l2.CellStats()
+	if cs.CacheHits != int64(len(done)) || cs.Simulated != int64(len(all)-len(done)) {
+		t.Fatalf("resumed lab stats %+v; want the %d finished cells served and the other %d simulated",
+			cs, len(done), len(all)-len(done))
 	}
 }
 
