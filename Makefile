@@ -26,9 +26,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke against the AQUA engine's structural invariants.
+# Short fuzz smoke against the AQUA engine's structural invariants and
+# the v1 binary trace reader (the on-disk format tracedump reads).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=10s ./internal/trace
 
 # Full benchmark sweep (64ms window, 34 workloads). Knobs:
 #   REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec  quick mode

@@ -461,7 +461,6 @@ func runMicrobenches() map[string]MicroMetric {
 	benches := map[string]func(*testing.B){
 		"dram_access":          perf.BenchAccess,
 		"ctrl_submit":          perf.BenchSubmit,
-		"ctrl_submitbatch":     perf.BenchSubmitBatch,
 		"tracker_act":          perf.BenchTrackerACT,
 		"tracker_act_hot":      perf.BenchTrackerACTHot,
 		"tracker_act_cold":     perf.BenchTrackerACTCold,

@@ -163,8 +163,8 @@ func realMain() int {
 	lab := repro.NewLab(opts)
 	defer func() {
 		if cs := lab.CellStats(); cs.TraceCaptures > 0 || cs.TraceReplays > 0 {
-			fmt.Fprintf(os.Stderr, "[trace tier: %d streams captured, %d replayed (%d from disk)]\n",
-				cs.TraceCaptures, cs.TraceReplays, cs.TraceDiskHits)
+			fmt.Fprintf(os.Stderr, "[trace tier: %d streams captured, %d replayed]\n",
+				cs.TraceCaptures, cs.TraceReplays)
 		}
 	}()
 	if !*noCache && (*cache || *cacheDir != "") {

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/dram"
+	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // writeTextTrace writes a small text trace and returns its path and the
@@ -42,19 +45,17 @@ func convert(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// TestConvertChain drives text -> v1 -> v2 -> text and checks the final
-// text is byte-identical to the normalized original (lossless round
-// trip through every container).
+// TestConvertChain drives text -> v1 -> text and checks the final text
+// is byte-identical to the normalized original (lossless round trip
+// through both containers).
 func TestConvertChain(t *testing.T) {
 	dir := t.TempDir()
 	txt, recs := writeTextTrace(t, dir)
 	v1 := filepath.Join(dir, "a.trace")
-	v2 := filepath.Join(dir, "a.aqt2")
 	txt2 := filepath.Join(dir, "out.txt")
 
 	convert(t, "-to", "v1", "-o", v1, txt)
-	convert(t, "-to", "v2", "-o", v2, v1)
-	out := convert(t, "-to", "text", "-o", txt2, v2)
+	out := convert(t, "-to", "text", "-o", txt2, v1)
 	if !strings.Contains(out, "4 records") {
 		t.Fatalf("convert output %q does not report 4 records", out)
 	}
@@ -72,9 +73,7 @@ func TestConvertChain(t *testing.T) {
 	}
 
 	// Each intermediate file must carry the right magic.
-	for path, want := range map[string]string{
-		txt: trace.FormatText, v1: trace.FormatV1, v2: trace.FormatV2,
-	} {
+	for path, want := range map[string]string{txt: trace.FormatText, v1: trace.FormatV1} {
 		got, err := detectFile(path)
 		if err != nil || got != want {
 			t.Fatalf("detectFile(%s) = %q, %v; want %q", path, got, err, want)
@@ -82,120 +81,64 @@ func TestConvertChain(t *testing.T) {
 	}
 }
 
-// TestConvertV2Core narrows a multi-core v2 trace to one core's stream.
-func TestConvertV2Core(t *testing.T) {
+// TestInfo checks the info statistics of a v1 trace.
+func TestInfo(t *testing.T) {
 	dir := t.TempDir()
-	set := &trace.Set{Cores: []*trace.Packed{{}, {}}}
-	set.Cores[0].Append(trace.Record{Row: 1, GapInstr: 1})
-	set.Cores[1].Append(trace.Record{Row: 2, GapInstr: 2})
-	set.Cores[1].Append(trace.Record{Row: 3, Write: true, GapInstr: 3})
-	v2 := filepath.Join(dir, "mc.aqt2")
-	if err := trace.WriteSetFile(v2, set, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	txt := filepath.Join(dir, "core1.txt")
-	convert(t, "-to", "text", "-core", "1", "-o", txt, v2)
-	data, err := os.ReadFile(txt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := trace.ReadText(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].Row != 2 || recs[1].Row != 3 || !recs[1].Write {
-		t.Fatalf("core 1 narrowed to %+v", recs)
-	}
-
-	var out bytes.Buffer
-	if err := runConvert([]string{"-to", "text", "-core", "5", "-o", filepath.Join(dir, "x.txt"), v2}, &out); err == nil {
-		t.Fatal("out-of-range -core did not fail")
-	}
-}
-
-// TestConvertReblocksV2 rewrites a v2 trace with a different block
-// target and checks the records survive.
-func TestConvertReblocksV2(t *testing.T) {
-	dir := t.TempDir()
-	set := &trace.Set{Cores: []*trace.Packed{{}}}
-	for i := 0; i < 100; i++ {
-		set.Cores[0].Append(trace.Record{Row: dram.Row(i), GapInstr: int64(i)})
-	}
-	src := filepath.Join(dir, "src.aqt2")
-	if err := trace.WriteSetFile(src, set, 0); err != nil {
-		t.Fatal(err)
-	}
-	dst := filepath.Join(dir, "dst.aqt2")
-	convert(t, "-to", "v2", "-block", "7", "-o", dst, src)
-
-	m, err := trace.OpenFile(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Header().Records != 100 || m.Header().BlockTarget != 7 {
-		t.Fatalf("re-blocked header %+v", m.Header())
-	}
-	if blocks := m.CoreBlocks(0); blocks < 100/7 {
-		t.Fatalf("re-blocked into %d blocks, want >= %d", blocks, 100/7)
-	}
-	s := m.Stream(0)
-	for i := 0; i < 100; i++ {
-		req, ok := s.Next()
-		if !ok || req.Row != dram.Row(i) || req.GapInstr != int64(i) {
-			t.Fatalf("record %d: %+v ok=%t", i, req, ok)
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("extra records after re-block")
-	}
-}
-
-// TestStats checks the stats subcommand on v2 and v1 containers.
-func TestStats(t *testing.T) {
-	dir := t.TempDir()
-	set := &trace.Set{Cores: []*trace.Packed{{}, {}}}
-	set.Cores[0].Append(trace.Record{Row: 1, GapInstr: 10})
-	set.Cores[0].Append(trace.Record{Row: 1, Write: true, GapInstr: 20})
-	set.Cores[1].Append(trace.Record{Row: 9, GapInstr: 5})
-	v2 := filepath.Join(dir, "s.aqt2")
-	if err := trace.WriteSetFile(v2, set, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	var out bytes.Buffer
-	if err := runStats([]string{v2}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"format        aqua-trace-v2",
-		"cores         2",
-		"records       3",
-		"records 2, blocks 1, writes 1, instructions 30, distinct rows 1",
-		"records 1, blocks 1, writes 0, instructions 5, distinct rows 1",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("stats output missing %q:\n%s", want, out.String())
-		}
-	}
-
 	txt, _ := writeTextTrace(t, dir)
 	v1 := filepath.Join(dir, "s.trace")
 	convert(t, "-to", "v1", "-o", v1, txt)
-	out.Reset()
-	if err := runStats([]string{v1}, &out); err != nil {
+	var out bytes.Buffer
+	if err := runInfo([]string{v1}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"format        aqua-trace-v1",
-		"records       4",
-		"writes        2",
-		"instructions  123462",
-		"distinct rows 3",
+		"records: 4\n",
+		"distinct rows: 3\n",
+		"writes: 2\n",
+		"instructions: 123462\n",
+		"hottest row: 100 (2 accesses)\n",
 	} {
 		if !strings.Contains(out.String(), want) {
-			t.Fatalf("stats output missing %q:\n%s", want, out.String())
+			t.Fatalf("info output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestInfoDumpTruncated cuts a 1000-record workload trace short: info
+// and dump must report the truncation as an error rather than print the
+// decodable prefix as if it were the whole trace.
+func TestInfoDumpTruncated(t *testing.T) {
+	spec, ok := workload.ByName("gcc")
+	if !ok {
+		t.Fatal("gcc spec missing")
+	}
+	gen := workload.NewGenerator(spec, sim.VisibleRegion(sim.Config{}), 0, 1, workload.Params{})
+	var buf bytes.Buffer
+	if n, err := trace.Capture(&buf, gen.Stream(1000, 1), 1000); err != nil || n != 1000 {
+		t.Fatalf("capture: %d records, %v", n, err)
+	}
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.trace")
+	cut := filepath.Join(dir, "cut.trace")
+	if err := os.WriteFile(full, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cut, buf.Bytes()[:600], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := runDump([]string{full}, &out); err != nil {
+		t.Fatalf("dump of the intact trace: %v", err)
+	}
+	if lines := strings.Count(out.String(), "\n"); lines != 1000 {
+		t.Fatalf("dump of the intact trace printed %d records, want 1000", lines)
+	}
+	for name, run := range map[string]func([]string, io.Writer) error{"info": runInfo, "dump": runDump} {
+		out.Reset()
+		if err := run([]string{cut}, &out); !errors.Is(err, trace.ErrTruncated) {
+			t.Errorf("%s of a truncated trace: err = %v, want %v (output %d bytes)",
+				name, err, trace.ErrTruncated, out.Len())
 		}
 	}
 }

@@ -8,13 +8,13 @@
 //	tracedump info gcc.trace                                # header + stats
 //	tracedump dump gcc.trace | head                         # text format
 //	tracedump replay gcc.trace -scheme aqua-memmapped       # run through a scheme
-//	tracedump convert -to v2 -o gcc.aqt2 gcc.trace          # text/v1/v2 conversion
-//	tracedump stats gcc.aqt2                                # per-core statistics
+//	tracedump convert -to text -o gcc.txt gcc.trace         # text <-> v1 conversion
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -33,27 +33,25 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracedump: ")
 	if len(os.Args) < 2 {
-		log.Fatal("usage: tracedump record|info|dump|replay ...")
+		log.Fatal("usage: tracedump record|info|dump|replay|convert ...")
 	}
+	var err error
 	switch os.Args[1] {
 	case "record":
 		record(os.Args[2:])
 	case "info":
-		info(os.Args[2:])
+		err = runInfo(os.Args[2:], os.Stdout)
 	case "dump":
-		dump(os.Args[2:])
+		err = runDump(os.Args[2:], os.Stdout)
 	case "replay":
 		replay(os.Args[2:])
 	case "convert":
-		if err := runConvert(os.Args[2:], os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	case "stats":
-		if err := runStats(os.Args[2:], os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		err = runConvert(os.Args[2:], os.Stdout)
 	default:
 		log.Fatalf("unknown subcommand %q", os.Args[1])
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -112,33 +110,51 @@ func record(args []string) {
 	fmt.Printf("wrote %d records to %s\n", written, *out)
 }
 
-func open(path string) *trace.Reader {
+// openV1 opens a v1 binary trace; the caller closes the file.
+func openV1(path string) (*trace.Reader, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
 	r, err := trace.NewReader(f)
 	if err != nil {
-		log.Fatal(err)
+		f.Close()
+		return nil, nil, err
 	}
-	return r
+	return r, f, nil
 }
 
-func info(args []string) {
-	if len(args) < 1 {
-		log.Fatal("info: need a trace file")
+// eachRecord calls fn on every record of a v1 trace. It stops only at
+// the declared end; any other read error — a truncated or corrupt trace
+// — is returned, never mistaken for the end.
+func eachRecord(r *trace.Reader, fn func(trace.Record)) error {
+	for {
+		rec, err := r.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fn(rec)
 	}
-	r := open(args[0])
-	fmt.Printf("records: %d\n", r.Header().Records)
+}
+
+// runInfo prints a v1 trace's header and access statistics.
+func runInfo(args []string, stdout io.Writer) error {
+	if len(args) < 1 {
+		return fmt.Errorf("info: need a trace file")
+	}
+	r, f, err := openV1(args[0])
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	geom := repro.BaselineGeometry()
 	rows := make(map[dram.Row]int64)
 	banks := make(map[int]int64)
 	var writes, instr int64
-	for {
-		rec, err := r.Read()
-		if err != nil {
-			break
-		}
+	err = eachRecord(r, func(rec trace.Record) {
 		rows[rec.Row]++
 		if geom.Contains(rec.Row) {
 			banks[geom.BankOf(rec.Row)]++
@@ -147,9 +163,9 @@ func info(args []string) {
 			writes++
 		}
 		instr += rec.GapInstr
-	}
-	if r.Err() != nil {
-		log.Fatal(r.Err())
+	})
+	if err != nil {
+		return err
 	}
 	var hottest dram.Row
 	var hot int64
@@ -158,32 +174,25 @@ func info(args []string) {
 			hottest, hot = row, n
 		}
 	}
-	fmt.Printf("distinct rows: %d\n", len(rows))
-	fmt.Printf("banks touched: %d\n", len(banks))
-	fmt.Printf("writes: %d\n", writes)
-	fmt.Printf("instructions: %d\n", instr)
-	fmt.Printf("hottest row: %d (%d accesses)\n", hottest, hot)
+	fmt.Fprintf(stdout, "records: %d\n", r.Header().Records)
+	fmt.Fprintf(stdout, "distinct rows: %d\n", len(rows))
+	fmt.Fprintf(stdout, "banks touched: %d\n", len(banks))
+	fmt.Fprintf(stdout, "writes: %d\n", writes)
+	fmt.Fprintf(stdout, "instructions: %d\n", instr)
+	fmt.Fprintf(stdout, "hottest row: %d (%d accesses)\n", hottest, hot)
+	return nil
 }
 
-func dump(args []string) {
+// runDump writes a v1 trace in the text format.
+func runDump(args []string, stdout io.Writer) error {
 	if len(args) < 1 {
-		log.Fatal("dump: need a trace file")
+		return fmt.Errorf("dump: need a trace file")
 	}
-	r := open(args[0])
-	var recs []trace.Record
-	for {
-		rec, err := r.Read()
-		if err != nil {
-			break
-		}
-		recs = append(recs, rec)
+	recs, err := loadRecords(args[0], trace.FormatV1)
+	if err != nil {
+		return err
 	}
-	if r.Err() != nil {
-		log.Fatal(r.Err())
-	}
-	if err := trace.WriteText(os.Stdout, recs); err != nil {
-		log.Fatal(err)
-	}
+	return trace.WriteText(stdout, recs)
 }
 
 func replay(args []string) {
@@ -194,7 +203,11 @@ func replay(args []string) {
 	if fs.NArg() < 1 {
 		log.Fatal("replay: need a trace file")
 	}
-	r := open(fs.Arg(0))
+	r, f, err := openV1(fs.Arg(0))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
 
 	rank := repro.NewBaselineRank()
 	var mit mitigation.Mitigator

@@ -56,9 +56,6 @@ type LabOptions struct {
 	// captured trace. Replay is byte-identical to generation; the flag
 	// exists for the make trace-smoke equivalence gate.
 	NoTraceReplay bool
-	// TraceBudgetBytes bounds the in-memory captured-trace tier (0 =
-	// default 1 GiB, negative = unlimited); see sim.ExpConfig.
-	TraceBudgetBytes int64
 }
 
 // AllWorkloads returns all 34 case names (18 SPEC + 16 mixes).
@@ -108,7 +105,6 @@ func NewLab(opts LabOptions) *Lab {
 			Faults:             opts.Faults,
 			OnCellStart:        opts.OnCellStart,
 			DisableTraceReplay: opts.NoTraceReplay,
-			TraceBudgetBytes:   opts.TraceBudgetBytes,
 		}),
 	}
 }

@@ -80,14 +80,6 @@ func New(dir string) (*Store, error) {
 	return &Store{dir: dir, mem: make(map[string][]byte)}, nil
 }
 
-// Dir reports the disk-tier directory ("" when memory-only).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // validKey rejects keys that could escape the cache directory or collide
 // with temp files. sim.CellKey produces lowercase hex, which passes.
 func validKey(key string) bool {

@@ -127,9 +127,6 @@ func TestNilStore(t *testing.T) {
 	if st := s.Stats(); st != (Stats{}) {
 		t.Fatalf("nil store stats %+v; want zero", st)
 	}
-	if s.Dir() != "" {
-		t.Fatal("nil store reported a directory")
-	}
 }
 
 // TestInvalidKeys pins the path-safety gate: keys that could escape the

@@ -298,52 +298,6 @@ func (c *Controller) drainBackground(at dram.PS) {
 // reserves the channel before the completion is reported).
 func (c *Controller) Submit(row dram.Row, write bool, at dram.PS) dram.PS {
 	c.Advance(at)
-	return c.submitOne(row, write, at)
-}
-
-// Request is one batched line access (see SubmitBatch).
-type Request struct {
-	Row   dram.Row
-	Write bool
-	At    dram.PS // arrival time; batches must be non-decreasing in At
-}
-
-// SubmitBatch processes a run of requests in arrival order and appends
-// each completion time to `done`, returning the extended slice. When the
-// whole batch lands before the next background event, the controller
-// advances once for the entire run instead of re-scanning the background
-// horizon per request — the batched analogue of Submit for callers that
-// already hold a sequence of same-epoch requests (trace replay, the perf
-// harness). Results are identical to calling Submit per request.
-func (c *Controller) SubmitBatch(reqs []Request, done []dram.PS) []dram.PS {
-	if len(reqs) == 0 {
-		return done
-	}
-	last := reqs[len(reqs)-1].At
-	if c.now <= last && last < c.bgNext {
-		// One bounds check covers the run: arrival times are monotonic, so
-		// no request can step over a background event the last one missed.
-		for i := range reqs {
-			r := &reqs[i]
-			if r.At < c.now {
-				panic(fmt.Sprintf("memctrl: time went backwards: %d then %d", c.now, r.At))
-			}
-			c.now = r.At
-			done = append(done, c.submitOne(r.Row, r.Write, r.At))
-		}
-		return done
-	}
-	for i := range reqs {
-		r := &reqs[i]
-		c.Advance(r.At)
-		done = append(done, c.submitOne(r.Row, r.Write, r.At))
-	}
-	return done
-}
-
-// submitOne runs the request pipeline after background work has been
-// advanced past the arrival time.
-func (c *Controller) submitOne(row dram.Row, write bool, at dram.PS) dram.PS {
 	issue := c.mit.Delay(row, at)
 	tr := c.mit.Translate(row, issue)
 	// Snapshot the reservation horizon before the access: the mitigation

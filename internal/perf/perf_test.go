@@ -14,7 +14,6 @@ import (
 
 func BenchmarkAccess(b *testing.B)          { BenchAccess(b) }
 func BenchmarkSubmit(b *testing.B)          { BenchSubmit(b) }
-func BenchmarkSubmitBatch(b *testing.B)     { BenchSubmitBatch(b) }
 func BenchmarkTrackerACT(b *testing.B)      { BenchTrackerACT(b) }
 func BenchmarkTrackerACTHot(b *testing.B)   { BenchTrackerACTHot(b) }
 func BenchmarkTrackerACTCold(b *testing.B)  { BenchTrackerACTCold(b) }

@@ -157,17 +157,12 @@ type CellStats struct {
 	LeaseHits int64
 	// TraceCaptures counts workload core-streams generated once and
 	// packed into the capture/replay tier (tracetier.go), including
-	// captures that spilled to disk or ran over budget and were served
-	// uncached.
+	// captures that ran over budget and were served uncached.
 	TraceCaptures int64
 	// TraceReplays counts core-streams served by replaying a captured
 	// trace instead of running the generator — every stream build after
 	// a workload's first touch.
 	TraceReplays int64
-	// TraceDiskHits counts replays served from a memory-mapped v2 trace
-	// file under the cell cache directory rather than the in-memory
-	// packed tier. Each is also counted in TraceReplays.
-	TraceDiskHits int64
 }
 
 // Deduped is the number of requests served from an identical cell

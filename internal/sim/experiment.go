@@ -74,13 +74,6 @@ type ExpConfig struct {
 	// gate (make trace-smoke).
 	//aquakey:exclude replay is byte-identical to generation (equivalence gate: make trace-smoke); the tier changes wall-clock only
 	DisableTraceReplay bool
-	// TraceBudgetBytes bounds the in-memory captured-trace tier (0 =
-	// default 1 GiB, negative = unlimited). Captures past the budget
-	// spill as v2 trace files under the attached cell cache's directory
-	// and replay from the memory mapping, or — with no disk tier — are
-	// served once, uncached.
-	//aquakey:exclude the budget moves streams between replay tiers, which all yield the same bytes
-	TraceBudgetBytes int64
 }
 
 func (e *ExpConfig) fillDefaults() {
@@ -187,10 +180,11 @@ type Runner struct {
 	// traceMem is the in-memory tier of the capture/replay layer
 	// (tracetier.go): packed per-core request traces keyed like genCache,
 	// replayed by every cell sharing the workload. traceBytes tracks its
-	// footprint against the budget; traceDisk holds mapped spill files.
-	traceMem   map[genKey]*trace.Packed    // guarded by mu
-	traceDisk  map[genKey]*trace.MappedSet // guarded by mu
-	traceBytes int64                       // guarded by mu
+	// footprint against traceBudget, which is traceBudgetBytes except in
+	// the over-budget fallback test.
+	traceMem    map[genKey]*trace.Packed // guarded by mu
+	traceBytes  int64                    // guarded by mu
+	traceBudget int64
 	// cellStats counts how cell requests were satisfied.
 	cellStats CellStats // guarded by mu
 }
@@ -207,10 +201,10 @@ type genKey struct {
 func NewRunner(cfg ExpConfig) *Runner {
 	cfg.fillDefaults()
 	r := &Runner{
-		cfg:       cfg,
-		genCache:  make(map[genKey]*workload.Generator),
-		traceMem:  make(map[genKey]*trace.Packed),
-		traceDisk: make(map[genKey]*trace.MappedSet),
+		cfg:         cfg,
+		genCache:    make(map[genKey]*workload.Generator),
+		traceMem:    make(map[genKey]*trace.Packed),
+		traceBudget: traceBudgetBytes,
 	}
 	if err := cfg.validate(); err != nil {
 		r.initErr = err

@@ -55,21 +55,6 @@ func (p *Packed) Append(r Record) {
 	}
 }
 
-// At returns record i.
-func (p *Packed) At(i int64) Record {
-	gap := int64(p.gaps[i])
-	if p.gaps[i] == gapOverflow {
-		if full, ok := p.overflow[i]; ok {
-			gap = full
-		}
-	}
-	return Record{
-		Row:      dram.Row(p.rows[i]),
-		Write:    p.writes[i>>6]&(1<<(uint(i)&63)) != 0,
-		GapInstr: gap,
-	}
-}
-
 // PackStream drains a finite cpu.Stream into a Packed (at most limit
 // records; limit 0 means unbounded).
 func PackStream(s cpu.Stream, limit int64) *Packed {
@@ -116,46 +101,4 @@ func (s *PackedStream) Next() (cpu.Request, bool) {
 		Write:    p.writes[i>>6]&(1<<(uint(i)&63)) != 0,
 		GapInstr: gap,
 	}, true
-}
-
-// Set is a multi-core capture: one Packed per core, the unit the grid's
-// record-once/replay-many tier stores and the v2 file format serializes.
-type Set struct {
-	Cores []*Packed
-}
-
-// CaptureSet drains one finite stream per core into a Set.
-func CaptureSet(streams []cpu.Stream, limit int64) *Set {
-	set := &Set{Cores: make([]*Packed, len(streams))}
-	for i, s := range streams {
-		set.Cores[i] = PackStream(s, limit)
-	}
-	return set
-}
-
-// Records returns the total record count across cores.
-func (s *Set) Records() int64 {
-	var n int64
-	for _, p := range s.Cores {
-		n += p.Len()
-	}
-	return n
-}
-
-// Bytes returns the approximate packed memory footprint across cores.
-func (s *Set) Bytes() int64 {
-	var n int64
-	for _, p := range s.Cores {
-		n += p.Bytes()
-	}
-	return n
-}
-
-// Streams returns one fresh replay cursor per core.
-func (s *Set) Streams() []cpu.Stream {
-	out := make([]cpu.Stream, len(s.Cores))
-	for i, p := range s.Cores {
-		out[i] = p.Stream()
-	}
-	return out
 }

@@ -14,6 +14,10 @@
 //
 // Readers implement cpu.Stream, so a trace plugs directly into the
 // simulator in place of a generator.
+//
+// Packed (packed.go) is the in-memory replay form the experiment runner
+// captures each workload stream into once and replays through every grid
+// cell that shares it; it is never written to disk.
 package trace
 
 import (
@@ -34,6 +38,22 @@ const (
 	magic   = 0x41515452
 	version = 1
 )
+
+// Container format names returned by DetectFormat.
+const (
+	FormatV1   = "aqua-trace-v1"
+	FormatText = "text"
+)
+
+// DetectFormat reports which trace container the leading bytes of a file
+// belong to. Anything without the binary magic — including fewer than
+// four bytes — reads as text, the only format with no magic to check.
+func DetectFormat(prefix []byte) string {
+	if len(prefix) >= 4 && binary.LittleEndian.Uint32(prefix) == magic {
+		return FormatV1
+	}
+	return FormatText
+}
 
 // Record is one memory request.
 type Record struct {
