@@ -54,9 +54,8 @@ func main() {
 	seed := flag.Uint64("seed", 0, "experiment seed")
 	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'lbm/aqua-memmapped/1000=ecc-flip@p:0.01'")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this wall-clock duration (0 = none)")
-	cache := flag.Bool("cache", true, "consult the content-addressed result cache (in-memory; add -cache-dir to persist)")
-	cacheDir := flag.String("cache-dir", "", "directory for the on-disk cache tier shared with cmd/figures (implies -cache)")
-	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (overrides -cache and -cache-dir)")
+	cacheDir := flag.String("cache-dir", "", "directory for the on-disk tier of the result cache (in-memory by default), shared with cmd/figures")
+	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (overrides -cache-dir)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	list := flag.Bool("list", false, "list workloads and schemes")
 	flag.Parse()
@@ -103,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	useCache := !*noCache && (*cache || *cacheDir != "")
+	useCache := !*noCache
 	if useCache {
 		store, err := cellcache.New(*cacheDir)
 		if err != nil {

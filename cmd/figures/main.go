@@ -84,9 +84,8 @@ func realMain() int {
 	par := flag.Int("j", 0, "concurrent simulations (0 = one per core, 1 = serial)")
 	faultSpec := flag.String("faults", "", "fault-injection rules, e.g. 'xz/rrs/1000=panic@once:0;*/aqua-memmapped/*=ecc-flip@p:0.01'")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this wall-clock duration (0 = none)")
-	cache := flag.Bool("cache", true, "serve grid cells from the content-addressed result cache (in-memory; add -cache-dir to persist)")
-	cacheDir := flag.String("cache-dir", "", "directory for the on-disk cache tier: completed cells persist here and warm future runs (implies -cache)")
-	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (overrides -cache and -cache-dir)")
+	cacheDir := flag.String("cache-dir", "", "directory for the on-disk tier of the result cache (in-memory by default): completed cells persist here and warm future runs")
+	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (overrides -cache-dir)")
 	noTraceReplay := flag.Bool("no-trace-replay", false, "regenerate workload streams for every cell instead of replaying captured traces (byte-identical, slower; see make trace-smoke)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -167,7 +166,7 @@ func realMain() int {
 				cs.TraceCaptures, cs.TraceReplays)
 		}
 	}()
-	if !*noCache && (*cache || *cacheDir != "") {
+	if !*noCache {
 		store, err := cellcache.New(*cacheDir)
 		if err != nil {
 			log.Fatalf("-cache-dir: %v", err)

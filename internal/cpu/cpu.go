@@ -120,14 +120,6 @@ func (c *Core) IPC(elapsed dram.PS) float64 {
 	return float64(c.instrRetired) / cycles
 }
 
-// QueuedRow returns the row targeted by the core's buffered next request,
-// ok=false when none is buffered yet (call NextIssueTime first) or the
-// stream is exhausted. The run loop's blocked-bank scheduler reads it to
-// decide whether the core can park on its target bank's expiry event.
-func (c *Core) QueuedRow() (dram.Row, bool) {
-	return c.queued.Row, c.hasQueue
-}
-
 // gapTime converts an instruction gap into core time.
 func (c *Core) gapTime(instr int64) dram.PS {
 	if instr <= 0 {

@@ -1,15 +1,14 @@
 // Package event is the simulator's unified event calendar: one
 // deterministic priority structure over everything that can happen next —
-// background work in the memory controller (refresh, epoch, drain),
-// per-bank timing-window expiries in the DRAM model, and per-core
-// next-issue times in the run loop.
+// background work in the memory controller (refresh, epoch, drain) and
+// per-core next-issue times in the run loop.
 //
 // Events are totally ordered by the tuple (Time, Class, Index). The class
 // order encodes the hardware tie-break the layers already implement
 // locally: at an equal timestamp, refresh outranks epoch bookkeeping,
-// which outranks background draining, which outranks bank-window expiries,
-// which outrank core issues; equal-time issues go to the lowest core
-// index. Any change to this order changes golden figure bytes.
+// which outranks background draining, which outranks core issues;
+// equal-time issues go to the lowest core index. Any change to this order
+// changes golden figure bytes.
 //
 // The calendar is a time-wheel/binary-heap hybrid shaped by how the two
 // kinds of producers behave:
@@ -18,9 +17,9 @@
 //     occurrence each and re-arm themselves strictly forward in time. They
 //     live in fixed per-class lanes — the degenerate time wheel — so
 //     re-arming is an O(1) store, not a heap fix-up.
-//   - Indexed classes (core issues, bank expiries) have one pending entry
-//     per entity and live in a binary min-heap. The run loop works on the
-//     heap root directly: ReplaceIndexedMin is a single sift-down, and
+//   - The indexed class (core issues) has one pending entry per core and
+//     lives in a binary min-heap. The run loop works on the heap root
+//     directly: ReplaceIndexedMin is a single sift-down, and
 //     Horizon exposes the earliest event that is *not* the root, which is
 //     the bound the same-core issue-batching fast path needs.
 //
@@ -32,7 +31,7 @@ package event
 
 // PS is simulated time in picoseconds. It aliases int64 exactly like
 // dram.PS, so the two interchange freely without this package importing
-// the DRAM model (which imports this package for expiry publishing).
+// the DRAM model.
 type PS = int64
 
 // Class identifies an event source. The declaration order IS the
@@ -46,9 +45,6 @@ const (
 	ClassEpoch
 	// ClassDrain is the idle background-drain opportunity.
 	ClassDrain
-	// ClassBankExpiry is a per-bank timing-window expiry (tRC/tRFC end),
-	// indexed by bank.
-	ClassBankExpiry
 	// ClassCoreIssue is a core's next request becoming ready, indexed by
 	// core.
 	ClassCoreIssue
@@ -65,8 +61,6 @@ func (c Class) String() string {
 		return "epoch"
 	case ClassDrain:
 		return "drain"
-	case ClassBankExpiry:
-		return "bank-expiry"
 	case ClassCoreIssue:
 		return "core-issue"
 	default:

@@ -15,8 +15,7 @@ func TestLessTotalOrder(t *testing.T) {
 		{"time dominates", Event{Time: 1, Class: ClassCoreIssue, Index: 9}, Event{Time: 2, Class: ClassRefresh}},
 		{"class breaks time tie", Event{Time: 5, Class: ClassRefresh}, Event{Time: 5, Class: ClassEpoch}},
 		{"epoch before drain", Event{Time: 5, Class: ClassEpoch}, Event{Time: 5, Class: ClassDrain}},
-		{"drain before bank expiry", Event{Time: 5, Class: ClassDrain}, Event{Time: 5, Class: ClassBankExpiry}},
-		{"bank expiry before core issue", Event{Time: 5, Class: ClassBankExpiry}, Event{Time: 5, Class: ClassCoreIssue}},
+		{"drain before core issue", Event{Time: 5, Class: ClassDrain}, Event{Time: 5, Class: ClassCoreIssue}},
 		{"index breaks class tie", Event{Time: 5, Class: ClassCoreIssue, Index: 0}, Event{Time: 5, Class: ClassCoreIssue, Index: 1}},
 	}
 	for _, tc := range cases {
@@ -38,31 +37,29 @@ func TestLessTotalOrder(t *testing.T) {
 // are asserted literally rather than relative to each other.
 func TestClassPriorityPinned(t *testing.T) {
 	want := map[Class]uint8{
-		ClassRefresh:    0,
-		ClassEpoch:      1,
-		ClassDrain:      2,
-		ClassBankExpiry: 3,
-		ClassCoreIssue:  4,
+		ClassRefresh:   0,
+		ClassEpoch:     1,
+		ClassDrain:     2,
+		ClassCoreIssue: 3,
 	}
 	for cl, v := range want {
 		if uint8(cl) != v {
 			t.Errorf("class %s = %d, want %d", cl, uint8(cl), v)
 		}
 	}
-	if NumClasses != 5 {
-		t.Errorf("NumClasses = %d, want 5", NumClasses)
+	if NumClasses != 4 {
+		t.Errorf("NumClasses = %d, want 4", NumClasses)
 	}
 }
 
 func TestEqualTimestampCollision(t *testing.T) {
-	// All five classes armed at the same instant must pop in class order,
+	// All four classes armed at the same instant must pop in class order,
 	// with equal-time indexed events ordered by index.
 	var c Calendar
 	c.SetLane(ClassDrain, 100)
 	c.Push(Event{Time: 100, Class: ClassCoreIssue, Index: 2})
 	c.Push(Event{Time: 100, Class: ClassCoreIssue, Index: 0})
 	c.SetLane(ClassRefresh, 100)
-	c.Push(Event{Time: 100, Class: ClassBankExpiry, Index: 7})
 	c.SetLane(ClassEpoch, 100)
 	c.Push(Event{Time: 100, Class: ClassCoreIssue, Index: 1})
 
@@ -70,7 +67,6 @@ func TestEqualTimestampCollision(t *testing.T) {
 		{Time: 100, Class: ClassRefresh},
 		{Time: 100, Class: ClassEpoch},
 		{Time: 100, Class: ClassDrain},
-		{Time: 100, Class: ClassBankExpiry, Index: 7},
 		{Time: 100, Class: ClassCoreIssue, Index: 0},
 		{Time: 100, Class: ClassCoreIssue, Index: 1},
 		{Time: 100, Class: ClassCoreIssue, Index: 2},
@@ -215,7 +211,6 @@ func TestHorizonExcludesRoot(t *testing.T) {
 // lane arms and pops against a sorted-slice reference model, checking that
 // every pop returns exactly the reference minimum.
 func TestCalendarMatchesReferenceModel(t *testing.T) {
-	indexed := []Class{ClassBankExpiry, ClassCoreIssue}
 	lanes := []Class{ClassRefresh, ClassEpoch, ClassDrain}
 	for seed := uint64(1); seed <= 8; seed++ {
 		var c Calendar
@@ -232,10 +227,10 @@ func TestCalendarMatchesReferenceModel(t *testing.T) {
 		}
 		for step := 0; step < 4000; step++ {
 			switch op := r.Intn(10); {
-			case op < 4: // push indexed
+			case op < 4: // push a core issue
 				e := Event{
 					Time:  PS(r.Intn(1 << 20)),
-					Class: indexed[r.Intn(len(indexed))],
+					Class: ClassCoreIssue,
 					Index: int32(r.Intn(64)),
 				}
 				c.Push(e)

@@ -12,8 +12,8 @@
 // parallel experiment engine emit byte-identical tables to the serial
 // one (see DESIGN.md "Concurrency model").
 //
-// Panic policy: a panic inside work submitted to ForEach, ForEachCtx,
-// Group.Do or Protect never crosses the package boundary. It is caught at
+// Panic policy: a panic inside work submitted to ForEachCtx,
+// Group.DoCtx or Protect never crosses the package boundary. It is caught at
 // the index (or call) that raised it and converted into a *PanicError
 // carrying the panic value and stack, so one poisoned grid cell reports
 // a structured failure instead of killing a multi-minute run.
@@ -137,19 +137,15 @@ type Group[K comparable, V any] struct {
 	m  map[K]*call[V] // guarded by mu
 }
 
-// Do executes fn for key, unless a call for key is already in flight, in
-// which case it waits for that call and returns its result. A panic in
-// fn is contained: the executing caller and every waiter receive a
+// DoCtx executes fn for key, unless a call for key is already in flight,
+// in which case it waits for that call and returns its result. A panic
+// in fn is contained: the executing caller and every waiter receive a
 // *PanicError instead of a hung WaitGroup or a crashed process.
-func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	return g.DoCtx(context.Background(), key, fn)
-}
-
-// DoCtx is Do with cancellation: a waiter whose context ends abandons
-// the wait and returns ctx.Err() (the in-flight execution itself is not
-// interrupted — its result still lands for other waiters), and a would-be
-// executor whose context has already ended returns ctx.Err() without
-// executing.
+//
+// A waiter whose context ends abandons the wait and returns ctx.Err()
+// (the in-flight execution itself is not interrupted — its result still
+// lands for other waiters), and a would-be executor whose context has
+// already ended returns ctx.Err() without executing.
 func (g *Group[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V, error) {
 	var zero V
 	if err := ctx.Err(); err != nil {
@@ -188,7 +184,7 @@ func (g *Group[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V
 	return c.val, c.err
 }
 
-// ForEach runs fn(0), fn(1), …, fn(n-1) on at most workers goroutines
+// ForEachCtx runs fn(0), fn(1), …, fn(n-1) on at most workers goroutines
 // and waits for all of them. Every index runs exactly once even when
 // some fail, and a panic at one index becomes that index's *PanicError
 // without disturbing the others. The returned error is the one from the
@@ -197,15 +193,12 @@ func (g *Group[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V
 //
 // workers <= 1 degenerates to a plain serial loop on the calling
 // goroutine (still running every index).
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: once ctx ends, no further
-// index is dispatched (in-flight indices finish). Cancellation dominates
-// the result — the index set is incomplete, so the return is ctx.Err()
-// even when a dispatched index also failed; with an intact context the
-// lowest-index error rule applies. Deadlines propagate by construction:
+//
+// Once ctx ends, no further index is dispatched (in-flight indices
+// finish). Cancellation dominates the result — the index set is
+// incomplete, so the return is ctx.Err() even when a dispatched index
+// also failed; with an intact context the lowest-index error rule
+// applies. Deadlines propagate by construction:
 // fn closures capture ctx and pass it down to cancellable work.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {

@@ -21,12 +21,12 @@ func TestGroupSharesInFlightCall(t *testing.T) {
 
 	// Leader: opens the flight and holds it open on release. Its fn runs
 	// only after the call is registered, so once started closes, every
-	// later Do("k", …) is guaranteed to find the call in flight.
+	// later DoCtx(…, "k", …) is guaranteed to find the call in flight.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := g.Do("k", func() (int, error) {
+		v, err := g.DoCtx(context.Background(), "k", func() (int, error) {
 			executions.Add(1)
 			close(started)
 			<-release
@@ -46,7 +46,7 @@ func TestGroupSharesInFlightCall(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			arrived.Add(1)
-			v, err := g.Do("k", func() (int, error) {
+			v, err := g.DoCtx(context.Background(), "k", func() (int, error) {
 				executions.Add(1)
 				return -1, nil // must never run: the flight is open
 			})
@@ -81,7 +81,7 @@ func TestGroupSharesInFlightCall(t *testing.T) {
 func TestGroupDistinctKeysDoNotBlock(t *testing.T) {
 	var g Group[int, int]
 	for k := 0; k < 10; k++ {
-		v, err := g.Do(k, func() (int, error) { return k * k, nil })
+		v, err := g.DoCtx(context.Background(), k, func() (int, error) { return k * k, nil })
 		if err != nil || v != k*k {
 			t.Fatalf("key %d: %d, %v", k, v, err)
 		}
@@ -91,11 +91,11 @@ func TestGroupDistinctKeysDoNotBlock(t *testing.T) {
 func TestGroupPropagatesError(t *testing.T) {
 	var g Group[string, int]
 	boom := errors.New("boom")
-	if _, err := g.Do("k", func() (int, error) { return 0, boom }); err != boom {
+	if _, err := g.DoCtx(context.Background(), "k", func() (int, error) { return 0, boom }); err != boom {
 		t.Fatalf("got %v", err)
 	}
 	// The key is forgotten after the call; a retry re-executes.
-	v, err := g.Do("k", func() (int, error) { return 7, nil })
+	v, err := g.DoCtx(context.Background(), "k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("retry: %d, %v", v, err)
 	}
@@ -105,7 +105,7 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		n := 50
 		seen := make([]atomic.Int64, n)
-		if err := ForEach(n, workers, func(i int) error {
+		if err := ForEachCtx(context.Background(), n, workers, func(i int) error {
 			seen[i].Add(1)
 			return nil
 		}); err != nil {
@@ -122,7 +122,7 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 func TestForEachReturnsLowestIndexError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(20, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), 20, workers, func(i int) error {
 			switch i {
 			case 3:
 				return errLow
@@ -139,7 +139,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 
 func TestForEachKeepsRunningAfterFailure(t *testing.T) {
 	var ran atomic.Int64
-	err := ForEach(10, 2, func(i int) error {
+	err := ForEachCtx(context.Background(), 10, 2, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("early")
@@ -155,7 +155,7 @@ func TestForEachKeepsRunningAfterFailure(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -163,7 +163,7 @@ func TestForEachEmpty(t *testing.T) {
 func TestForEachConvertsPanicToPanicError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEach(10, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), 10, workers, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
 				panic("kaboom")
@@ -248,7 +248,7 @@ func TestGroupLeaderPanicPropagatesToWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, errs[0] = g.Do("k", func() (int, error) {
+		_, errs[0] = g.DoCtx(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			panic("leader died")
@@ -261,7 +261,7 @@ func TestGroupLeaderPanicPropagatesToWaiters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			arrived.Add(1)
-			_, errs[i] = g.Do("k", func() (int, error) { return -1, nil })
+			_, errs[i] = g.DoCtx(context.Background(), "k", func() (int, error) { return -1, nil })
 		}(i)
 	}
 	for arrived.Load() < int64(len(errs)-1) {
@@ -293,7 +293,7 @@ func TestGroupDoCtxWaiterAbandonsOnCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := g.Do("k", func() (int, error) {
+		v, err := g.DoCtx(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			return 42, nil

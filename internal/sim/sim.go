@@ -176,41 +176,6 @@ type System struct {
 	// one grid worker (the result cache exchanges Result values, never
 	// live Systems), so the calendar is never shared.
 	cal event.Calendar
-
-	// Blocked-bank overlap scheduler state (DESIGN.md "Blocked-bank
-	// overlap scheduler"): a core whose next request targets a blocked
-	// bank and whose issue time lands at or past the bank's expiry is
-	// parked — dropped from the issue heap onto the bank's intrusive
-	// list — and re-enters when the bank's ClassBankExpiry event fires.
-	// parkedNext[i] links core i to the next parked core on the same bank
-	// (-1 ends the list); parkedWake[i] is core i's re-entry time, its
-	// NextIssueTime unchanged, which is what keeps every Submit at its
-	// original time and order. bankParked[b] heads bank b's list;
-	// bankMinWake[b] is the earliest expiry event pushed for b while its
-	// list is non-empty (stale once the list empties — the next park
-	// pushes unconditionally). Invariant: every parked core is covered by
-	// a pending ClassBankExpiry event for its bank at a time <= its wake,
-	// so no core can be woken late; duplicate expiry events pop as
-	// no-ops against an empty list.
-	parkedNext  []int32
-	parkedWake  []dram.PS
-	bankParked  []int32
-	bankMinWake []dram.PS
-	// parkSpan is the profitability gate: a core is only parked when it
-	// leaves the issue heap for at least this long (next - at). A park
-	// replaces one ReplaceIndexedMin with an expiry push/pop plus an
-	// issue push — roughly two extra calendar operations — so
-	// sub-window-scale parks cost more heap traffic than the calmer
-	// Horizon saves (measured: gating short parks out is worth ~10% of
-	// the full lbm 4-core cell). 4x tRC keeps incidental streaming-bank
-	// conflicts on the heap while genuinely contended cores still park.
-	parkSpan dram.PS
-	// parks counts successful tryPark calls across the system's lifetime;
-	// noPark disables parking altogether. Both exist for the park tests:
-	// the counter proves a scenario exercised the scheduler, the switch
-	// produces the reference run the parked run must match bit-for-bit.
-	parks  int64
-	noPark bool
 }
 
 // VisibleRegion returns the software-visible address region for a
@@ -299,11 +264,6 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 	for i := range s.Cores {
 		s.Cores[i] = cpu.New(i, streams[i], cfg.CoreCfg)
 	}
-	s.parkSpan = 4 * cfg.Timing.TRC
-	s.parkedNext = make([]int32, cfg.Cores)
-	s.parkedWake = make([]dram.PS, cfg.Cores)
-	s.bankParked = make([]int32, cfg.Geometry.Banks)
-	s.bankMinWake = make([]dram.PS, cfg.Geometry.Banks)
 	return s
 }
 
@@ -399,70 +359,6 @@ func (s *System) resetEvents() {
 			s.cal.Push(event.Event{Time: t, Class: event.ClassCoreIssue, Index: int32(i)})
 		}
 	}
-	for b := range s.bankParked {
-		s.bankParked[b] = -1
-	}
-	// A reused system can start with banks still inside their activation
-	// windows from the previous run; publish those expiries so the first
-	// parks have events to ride.
-	s.Rank.PublishExpiries(&s.cal, 0)
-}
-
-// tryPark parks the root core (which must have a queued request and
-// next-issue time `next`) when its target bank is still blocked at `at`
-// and will not free before the core issues anyway: next >= BankReadyAt.
-// The park is order-preserving — the core re-enters the issue heap at
-// exactly `next` when the bank's expiry event fires — so the stream of
-// Submit calls is bit-identical to leaving the core in the heap; what
-// changes is only who carries the wake-up (one expiry event per bank
-// instead of one heap entry per blocked core), which is what lets the
-// surviving root batch issues against a calmer Horizon. Reports whether
-// the core was parked.
-func (s *System) tryPark(ci int32, at, next dram.PS) bool {
-	if next-at < s.parkSpan || s.noPark {
-		// Too-short parks thrash the calendar (see parkSpan); this
-		// compare is also what keeps tryPark nearly free on streaming
-		// workloads whose issue cadence never reaches the gate.
-		return false
-	}
-	row, ok := s.Cores[ci].QueuedRow()
-	if !ok {
-		return false
-	}
-	b := s.Cfg.Geometry.BankOf(row)
-	ready := s.Rank.BankReadyAt(b)
-	if ready <= at || next < ready {
-		// Bank already free, or the core issues before the window ends
-		// (the controller charges that stall inside Submit): the core
-		// must stay on the issue heap.
-		return false
-	}
-	if s.bankParked[b] < 0 {
-		s.cal.Push(event.Event{Time: next, Class: event.ClassBankExpiry, Index: int32(b)})
-		s.bankMinWake[b] = next
-	} else if next < s.bankMinWake[b] {
-		s.cal.Push(event.Event{Time: next, Class: event.ClassBankExpiry, Index: int32(b)})
-		s.bankMinWake[b] = next
-	}
-	s.parkedNext[ci] = s.bankParked[b]
-	s.parkedWake[ci] = next
-	s.bankParked[b] = ci
-	s.parks++
-	return true
-}
-
-// wakeBank re-enters every core parked on bank b at its recorded wake
-// time. The firing event's time is <= every parked wake (the park
-// invariant), and ClassBankExpiry orders before ClassCoreIssue at equal
-// timestamps, so a woken core is back in the heap before its issue slot
-// comes up. Stale duplicate events find an empty list and do nothing.
-func (s *System) wakeBank(b int32) {
-	for i := s.bankParked[b]; i >= 0; {
-		next := s.parkedNext[i]
-		s.cal.Push(event.Event{Time: s.parkedWake[i], Class: event.ClassCoreIssue, Index: i})
-		i = next
-	}
-	s.bankParked[b] = -1
 }
 
 // issueHorizon returns the batching bound for the current heap root: the
@@ -516,11 +412,6 @@ func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
 		if until > 0 && root.Time > until {
 			break
 		}
-		if root.Class == event.ClassBankExpiry {
-			s.cal.DropIndexedMin()
-			s.wakeBank(root.Index)
-			continue
-		}
 		limit := s.issueHorizon()
 		if until > 0 && until+1 < limit {
 			// The run bound caps the batch too: issues AT until are still
@@ -530,13 +421,10 @@ func (s *System) RunCtx(ctx context.Context, until dram.PS) (Result, error) {
 		n, next, more := s.Cores[root.Index].IssueRun(root.Time, limit,
 			ctxCheckInterval-issued%ctxCheckInterval, s.Ctrl.Submit)
 		issued += n
-		switch {
-		case !more:
-			s.cal.DropIndexedMin()
-		case s.tryPark(root.Index, root.Time, next):
-			s.cal.DropIndexedMin()
-		default:
+		if more {
 			s.cal.ReplaceIndexedMin(next)
+		} else {
+			s.cal.DropIndexedMin()
 		}
 		if issued%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -559,21 +447,13 @@ func (s *System) IssueN(n int) int {
 		if !ok {
 			break
 		}
-		if root.Class == event.ClassBankExpiry {
-			s.cal.DropIndexedMin()
-			s.wakeBank(root.Index)
-			continue
-		}
 		k, next, more := s.Cores[root.Index].IssueRun(root.Time, s.issueHorizon(),
 			n-issued, s.Ctrl.Submit)
 		issued += k
-		switch {
-		case !more:
-			s.cal.DropIndexedMin()
-		case s.tryPark(root.Index, root.Time, next):
-			s.cal.DropIndexedMin()
-		default:
+		if more {
 			s.cal.ReplaceIndexedMin(next)
+		} else {
+			s.cal.DropIndexedMin()
 		}
 	}
 	return issued
@@ -630,26 +510,6 @@ func WorkloadStreams(spec workload.Spec, region workload.Region, cores int, reqs
 		streams[i] = gen.Stream(reqsPerCore, seed+uint64(i)*7919)
 	}
 	return streams
-}
-
-// MixStreams builds per-core streams for a mixed workload.
-func MixStreams(mix [4]workload.Spec, region workload.Region, reqsPerCore int64, seed uint64, params workload.Params) []cpu.Stream {
-	streams := make([]cpu.Stream, len(mix))
-	for i, spec := range mix {
-		gen := workload.NewGenerator(spec, region, i, seed, params)
-		streams[i] = gen.Stream(reqsPerCore, seed+uint64(i)*7919)
-	}
-	return streams
-}
-
-// ReqsForInstructions converts a per-core instruction budget into the
-// request count for a workload's MPKI.
-func ReqsForInstructions(spec workload.Spec, instrPerCore int64) int64 {
-	n := int64(float64(instrPerCore) * spec.MPKI / 1000)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 func max64(a, b int64) int64 {

@@ -196,17 +196,6 @@ func TestBreakdownSumsToOne(t *testing.T) {
 	}
 }
 
-func TestReqsForInstructions(t *testing.T) {
-	spec, _ := workload.ByName("lbm") // MPKI 20.9
-	if got := ReqsForInstructions(spec, 1_000_000); got != 20900 {
-		t.Fatalf("reqs = %d", got)
-	}
-	tiny, _ := workload.ByName("povray")
-	if got := ReqsForInstructions(tiny, 10); got != 1 {
-		t.Fatalf("floor = %d", got)
-	}
-}
-
 func TestTrackerKindsRun(t *testing.T) {
 	for _, kind := range []TrackerKind{TrackerMisraGries, TrackerHydra, TrackerExact} {
 		cfg := fastCfg(SchemeAquaMemMapped)
