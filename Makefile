@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench bench-quick bench-json bench-smoke bench-full fault-smoke cache-smoke serve-smoke trace-smoke
+.PHONY: all build lint test race fuzz bench bench-quick bench-smoke bench-full fault-smoke cache-smoke serve-smoke trace-smoke
 
 all: build lint test
 
@@ -42,17 +42,6 @@ bench:
 # harness, minutes instead of hours.
 bench-quick:
 	REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec $(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 0 .
-
-# Record headline metrics (slowdowns, migrations/64ms, grid wall-clock at
-# -j 1 vs -j 4, full-cell wall-clock) to BENCH_<date>.json. Defaults to
-# the quick configuration; unset the REPRO_BENCH_* overrides for a
-# full-window record. On a 1-core host the speedup is recorded as null
-# (the serial/parallel ratio is scheduler noise there) with a warning.
-bench-json:
-	REPRO_BENCH_WINDOW_MS=$${REPRO_BENCH_WINDOW_MS:-4} \
-	REPRO_BENCH_WORKLOADS=$${REPRO_BENCH_WORKLOADS:-spec} \
-	REPRO_BENCH_JSON=BENCH_$$(date +%F).json \
-	$(GO) test -run='^TestBenchJSON$$' -timeout 0 .
 
 # CI smoke over the hot-path measurement layer: one iteration of each
 # internal/perf microbenchmark plus the zero-allocation budget tests.
@@ -132,9 +121,10 @@ trace-smoke:
 #     deliberately tiny queue: submissions shed with 429 + Retry-After,
 #     clients retry with seeded backoff, and every completed job's output
 #     is byte-identical to testdata/lab_golden.txt.
-#   chaos — server A SIGKILLs itself mid-grid holding a compute lease;
-#     server B on the same cache directory must finish the duplicate job
-#     byte-identically via lease expiry + cache resume.
+#   chaos — server A SIGKILLs itself mid-grid; server B on the same
+#     cache directory must finish the duplicate job byte-identically,
+#     serving exactly the entries A left from the cache (one hit each)
+#     and simulating the rest, the cell A died on included.
 serve-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/aquaserve" ./cmd/aquaserve || exit 1; \
@@ -142,7 +132,7 @@ serve-smoke:
 	echo "--- overload: duplicate grids vs a full queue (429 + seeded-backoff retry)"; \
 	"$$dir/aquaload" -mode load -serve-bin "$$dir/aquaserve" -golden testdata/lab_golden.txt \
 		-n 40 -c 16 -expect-shed || { echo "FAIL: load smoke"; exit 1; }; \
-	echo "--- chaos: SIGKILL a worker mid-grid, recover via lease expiry + cache resume"; \
+	echo "--- chaos: SIGKILL a worker mid-grid, recover via exact cache handoff"; \
 	"$$dir/aquaload" -mode chaos -serve-bin "$$dir/aquaserve" -golden testdata/lab_golden.txt \
 		|| { echo "FAIL: chaos smoke"; exit 1; }; \
 	echo "serve-smoke OK"

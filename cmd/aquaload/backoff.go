@@ -1,11 +1,12 @@
-// Deterministic seeded backoff: the farm's retry and lease-wait
-// schedules are exponential with jitter, but the jitter comes from
+package main
+
+// Deterministic seeded backoff for the load client's shed-retry loop:
+// the schedule is exponential with jitter, but the jitter comes from
 // internal/rng streams derived from (seed, scope), never from a global
 // RNG or the clock. The same seed therefore reproduces the same schedule
 // — the property the backoff tests pin — while distinct scopes (one per
-// job) draw decorrelated streams, so a crowd of jobs woken by one lease
-// expiry fans back out instead of thundering in phase.
-package farm
+// client) draw decorrelated streams, so a crowd of clients shed at once
+// fans back out instead of retrying in phase.
 
 import (
 	"time"
@@ -28,9 +29,9 @@ type Backoff struct {
 	attempt int
 }
 
-// NewBackoff builds the schedule for one scope (a job key, a cell key, a
-// client request id). Identical (seed, scope, base, max) quadruples
-// yield identical schedules; different scopes decorrelate.
+// NewBackoff builds the schedule for one scope (a client request id).
+// Identical (seed, scope, base, max) quadruples yield identical
+// schedules; different scopes decorrelate.
 func NewBackoff(seed uint64, scope string, base, max time.Duration) *Backoff {
 	if base <= 0 {
 		base = 10 * time.Millisecond
@@ -56,10 +57,6 @@ func (b *Backoff) Next() time.Duration {
 
 // Attempt reports how many Next calls have been consumed.
 func (b *Backoff) Attempt() int { return b.attempt }
-
-// Reset rewinds the attempt counter (the jitter stream keeps advancing,
-// so a reset schedule is still decorrelated from the first).
-func (b *Backoff) Reset() { b.attempt = 0 }
 
 // window is the jitter-free envelope for attempt n.
 func (b *Backoff) window(n int) time.Duration {

@@ -1,14 +1,14 @@
-package farm
+package main
 
 import (
 	"testing"
 	"time"
 )
 
-// TestBackoffDeterministic pins the service's retry-schedule contract:
+// TestBackoffDeterministic pins the client's retry-schedule contract:
 // identical (seed, scope, base, max) quadruples replay the identical
-// wait sequence. Every farm retry decision is reproducible from the
-// job's seed — no global RNG, no clock-derived jitter.
+// wait sequence. Every retry decision is reproducible from the seed — no
+// global RNG, no clock-derived jitter.
 func TestBackoffDeterministic(t *testing.T) {
 	mk := func() *Backoff { return NewBackoff(7, "job-a/cell-1", 10*time.Millisecond, time.Second) }
 	a, b := mk(), mk()
@@ -41,7 +41,7 @@ func TestBackoffEnvelope(t *testing.T) {
 }
 
 // TestBackoffScopesDecorrelated is the anti-thundering-herd property:
-// different scopes (different jobs waiting on the same lease) draw from
+// different scopes (different clients shed at the same moment) draw from
 // decorrelated jitter streams, so their retry schedules fan out instead
 // of marching in phase.
 func TestBackoffScopesDecorrelated(t *testing.T) {
@@ -92,15 +92,5 @@ func TestBackoffDefaultsAndClamps(t *testing.T) {
 		if d < w/2 || d >= w {
 			t.Fatalf("attempt %d: overflow-guarded wait %v escaped [%v, %v)", i, d, w/2, w)
 		}
-	}
-
-	// Reset rewinds the envelope to attempt 1 but keeps drawing fresh
-	// jitter.
-	r := NewBackoff(3, "s", 10*time.Millisecond, time.Second)
-	r.Next()
-	r.Next()
-	r.Reset()
-	if d := r.Next(); d < 5*time.Millisecond || d >= 10*time.Millisecond {
-		t.Fatalf("post-Reset wait %v outside first-attempt window [5ms, 10ms)", d)
 	}
 }

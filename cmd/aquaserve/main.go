@@ -5,23 +5,23 @@
 // Usage:
 //
 //	aquaserve -addr :8080                 # listen address (:0 = ephemeral)
-//	aquaserve -id lab-a                   # server identity (job IDs, lease owners)
+//	aquaserve -id lab-a                   # server identity (job IDs)
 //	aquaserve -queue 8 -workers 2         # admission bound and worker pool
 //	aquaserve -cell-parallel 1            # per-job cell parallelism (0 = all cores)
 //	aquaserve -cache-dir /shared/cells    # shared content-addressed result store
-//	aquaserve -lease-ttl 30s              # compute-lease expiry (crash recovery bound)
 //	aquaserve -deadline 10m               # default per-job deadline
 //	aquaserve -drain-timeout 30s          # graceful-shutdown grace window
 //	aquaserve -retry-after 2s             # backoff hint on shed (429) responses
-//	aquaserve -seed 0x41515541            # root seed for backoff jitter + fault arms
+//	aquaserve -seed 0x41515541            # root seed for fault arms
 //
 // Chaos harness hooks (driven by cmd/aquaload):
 //
 //	aquaserve -faults '*/*/*=worker-kill@once:2'
 //
 // worker-kill arms SIGKILL this process at the matching cell-start
-// ordinal — the hard-crash the lease and cache machinery exists to
-// survive. All other fault kinds pass through to the simulator.
+// ordinal — the hard crash the shared cache must survive: a successor
+// serves every finished cell from it and simulates only the rest. All
+// other fault kinds pass through to the simulator.
 //
 // On startup the resolved listen address is printed to stdout as
 // "aquaserve listening on http://<addr>" (ephemeral ports become
@@ -54,16 +54,15 @@ func main() {
 
 	var (
 		addr         = flag.String("addr", ":8080", "HTTP listen address (:0 = ephemeral port)")
-		id           = flag.String("id", "aquaserve", "server identity used in job IDs and lease owners")
+		id           = flag.String("id", "aquaserve", "server identity used in job IDs")
 		queue        = flag.Int("queue", 8, "admission queue bound (full queue sheds with 429)")
 		workers      = flag.Int("workers", 2, "concurrent jobs")
 		cellParallel = flag.Int("cell-parallel", 0, "per-job cell parallelism (0 = all cores)")
 		cacheDir     = flag.String("cache-dir", "", "shared result-store directory (empty = in-memory)")
-		leaseTTL     = flag.Duration("lease-ttl", 30*time.Second, "compute-lease expiry")
 		deadline     = flag.Duration("deadline", 10*time.Minute, "default per-job deadline")
 		drainT       = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown grace window")
 		retryAfter   = flag.Duration("retry-after", 2*time.Second, "Retry-After hint on shed responses")
-		seed         = flag.Uint64("seed", 0x41515541, "root seed for backoff jitter and fault arms")
+		seed         = flag.Uint64("seed", 0x41515541, "root seed for fault arms")
 		faultSpec    = flag.String("faults", "", "fault rules (worker-kill arms crash this process; rest reach the simulator)")
 	)
 	flag.Parse()
@@ -82,13 +81,12 @@ func main() {
 		Queue:           *queue,
 		Workers:         *workers,
 		CellParallel:    *cellParallel,
-		LeaseTTL:        *leaseTTL,
 		DefaultDeadline: *deadline,
 		RetryAfter:      *retryAfter,
 		CacheDir:        *cacheDir,
 		Faults:          rules,
 		Seed:            *seed,
-		Clock:           realClock(),
+		Clock:           farm.Clock{Now: time.Now},
 		Kill:            killSelf,
 	})
 	if err != nil {
@@ -131,24 +129,6 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 	<-serveErr
-}
-
-// realClock is the production farm.Clock: wall time and timer-backed
-// context-aware sleep.
-func realClock() farm.Clock {
-	return farm.Clock{
-		Now: time.Now,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		},
-	}
 }
 
 // killSelf is the worker-kill action: SIGKILL this process, no unwind,

@@ -120,12 +120,6 @@ func NewLab(opts LabOptions) *Lab {
 // cells never enter the store.
 func (l *Lab) AttachCache(s *cellcache.Store) { l.runner.AttachCellCache(s) }
 
-// AttachLeaser attaches a cross-process compute coordinator to the lab's
-// runner (effective only alongside AttachCache; see sim.CellLeaser). The
-// farm uses it so two servers sharing a cache directory compute each
-// missed cell once between them.
-func (l *Lab) AttachLeaser(cl sim.CellLeaser) { l.runner.AttachLeaser(cl) }
-
 // CellStats reports how the lab's cell requests were satisfied: cache
 // hits/misses, deduplicated requests, and real simulations.
 func (l *Lab) CellStats() sim.CellStats { return l.runner.CellStats() }

@@ -2,8 +2,8 @@
 // the unit of work every figure grid decomposes into — must stay under a
 // wall-clock budget, so grid regeneration time stays bounded as the
 // simulator grows. `make bench-full` runs the gated budget test; the
-// measured wall-clock is also recorded as wall_full_sec in
-// BENCH_<date>.json by `make bench-json`.
+// repository benchmark (`bash perfbench/run.sh --workload full_hot`)
+// measures full-window cells with repeated samples.
 package repro
 
 import (

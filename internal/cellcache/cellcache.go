@@ -62,11 +62,9 @@ func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits }
 type Store struct {
 	dir string // "" = memory tier only
 
-	mu     sync.Mutex
-	mem    map[string][]byte // guarded by mu
-	stats  Stats             // guarded by mu
-	leases map[string]lease  // guarded by mu (memory-tier lease protocol)
-	lstats LeaseStats        // guarded by mu
+	mu    sync.Mutex
+	mem   map[string][]byte // guarded by mu
+	stats Stats             // guarded by mu
 }
 
 // New builds a store. dir "" keeps the store memory-only; otherwise the

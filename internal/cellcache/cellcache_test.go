@@ -222,3 +222,43 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashMidWrite is the crash-hardening scenario: a worker killed
+// mid-write leaves (a) an orphaned temp file and (b) a torn entry written
+// without the atomic rename discipline. A surviving store must read the
+// torn entry as a miss, never serve the temp file, and serve the entry
+// once it is recomputed — there is nothing else for it to wait out.
+func TestCrashMidWrite(t *testing.T) {
+	dir := t.TempDir()
+
+	// (a) Orphaned temp file from a write that never reached rename.
+	if err := os.WriteFile(filepath.Join(dir, "tmp-crash123"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// (b) A torn entry: valid header promised, payload truncated as if
+	// the process died between write and fsync on a non-atomic path.
+	full := encodeEntry([]byte("the full payload bytes"))
+	if err := os.WriteFile(filepath.Join(dir, "cellX"), full[:len(full)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh store (the surviving worker) sees misses, not corruption
+	// escapes.
+	s, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get("cellX"); ok {
+		t.Fatalf("torn entry served as a hit: %q", v)
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("stats = %+v, want the torn entry counted corrupt", st)
+	}
+	// The survivor recomputes and lands the entry atomically; the store
+	// now serves it even though the torn file had the same name.
+	s.Put("cellX", []byte("recomputed"))
+	fresh, _ := New(dir)
+	if v, ok := fresh.Get("cellX"); !ok || string(v) != "recomputed" {
+		t.Fatalf("recomputed entry not served: %q, %v", v, ok)
+	}
+}

@@ -1,10 +1,12 @@
 // Package farm is the crash-tolerant sharded experiment service behind
 // cmd/aquaserve: an HTTP/JSON job API that shards experiment-grid cells
 // across a bounded worker pool and serves results out of the shared
-// content-addressed cellcache, with lease/claim coordination so
-// concurrent jobs — in one process or across processes sharing a cache
-// directory — compute each cell once between them, and a crashed
-// worker's leases expire instead of wedging anyone.
+// content-addressed cellcache. Each job runs on its own Lab, which
+// coalesces duplicate cells inside the job; jobs and processes share
+// nothing but the store, so a cell another job already finished is
+// served from it, and the worst case of two jobs missing the same cell
+// at once is one duplicate deterministic simulation writing identical
+// bytes.
 //
 // Robustness model (see DESIGN.md "Service architecture & failure
 // domains"):
@@ -18,16 +20,16 @@
 //   - Deadlines: per-job context.WithTimeout, flowing through the sim
 //     core's dual-stride cancellation checks.
 //   - Crash handoff: completed cells land in the shared cellcache as
-//     they finish; a worker SIGKILLed mid-grid leaves only the leases of
-//     the cells it was computing, which expire and are reclaimed by the
-//     next job, which serves everything else from the cache.
+//     they finish; a worker SIGKILLed mid-grid leaves only finished
+//     entries behind (plus, at most, an orphaned temp file), so the next
+//     job serves those from the cache and simulates the rest, with
+//     nothing to wait out.
 //   - Graceful drain: Shutdown stops admission, cancels queued jobs,
 //     gives running jobs a grace window, then hard-cancels; completed
 //     cells are already durable, so a resubmitted job resumes.
 //
 // The package is clock-free by construction (the noclock lint applies):
-// all wall time flows through the injected Clock, so tests drive leases
-// and backoff with fake instants.
+// all wall time flows through the injected Clock.
 package farm
 
 import (
@@ -45,22 +47,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Clock injects wall time and waiting. The fields are funcs, not an
-// interface, so determinism tracing treats call sites as opaque; the
-// real implementation lives in cmd/aquaserve (where wall-clock reads are
+// Clock injects wall time. The fields are funcs, not an interface, so
+// determinism tracing treats call sites as opaque; the real
+// implementation lives in cmd/aquaserve (where wall-clock reads are
 // allowed), fakes live in tests.
 type Clock struct {
 	// Now returns the current wall time.
 	Now func() time.Time
-	// Sleep waits for d or until ctx ends, returning ctx.Err() in the
-	// latter case and nil otherwise.
+	// Sleep is unused and optional. It is kept only because the
+	// perfbench module still sets it; remove the two together.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // Options configures a Server.
 type Options struct {
-	// ServerID names this process in job IDs and lease owners (required;
-	// distinct per process sharing a cache directory).
+	// ServerID names this process in job IDs (required; distinct per
+	// process sharing a cache directory).
 	ServerID string
 	// Queue bounds admitted-but-unstarted jobs (default 8). At capacity,
 	// Submit sheds.
@@ -70,9 +72,6 @@ type Options struct {
 	// CellParallel bounds per-job cell parallelism (default 0 =
 	// GOMAXPROCS; chaos harnesses use 1 for deterministic kill points).
 	CellParallel int
-	// LeaseTTL is how long a cell compute lease lives without renewal
-	// (default 30s). A crashed worker's leases free after at most this.
-	LeaseTTL time.Duration
 	// DefaultDeadline bounds jobs that don't set deadline_ms (default
 	// 10m).
 	DefaultDeadline time.Duration
@@ -80,15 +79,14 @@ type Options struct {
 	// (default 2s).
 	RetryAfter time.Duration
 	// CacheDir is the shared content-addressed store directory ("" =
-	// in-memory only: in-process dedup still works, cross-process
-	// handoff doesn't).
+	// in-memory only: jobs in this process still share finished cells,
+	// cross-process handoff doesn't).
 	CacheDir string
 	// Faults arms harness-level fault injection. WorkerKill arms are
 	// consumed here (at cell-start ordinals, via Kill); everything else
 	// passes to the sim layer per cell.
 	Faults *fault.Rules
-	// Seed drives the deterministic backoff jitter and the fault
-	// injector (default the golden seed).
+	// Seed drives the fault injector (default the golden seed).
 	Seed uint64
 	// Clock is the injected wall clock (required).
 	Clock Clock
@@ -101,17 +99,14 @@ func (o *Options) fillDefaults() error {
 	if o.ServerID == "" {
 		return errors.New("farm: Options.ServerID is required")
 	}
-	if o.Clock.Now == nil || o.Clock.Sleep == nil {
-		return errors.New("farm: Options.Clock.Now and Clock.Sleep are required")
+	if o.Clock.Now == nil {
+		return errors.New("farm: Options.Clock.Now is required")
 	}
 	if o.Queue <= 0 {
 		o.Queue = 8
 	}
 	if o.Workers <= 0 {
 		o.Workers = 2
-	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 30 * time.Second
 	}
 	if o.DefaultDeadline <= 0 {
 		o.DefaultDeadline = 10 * time.Minute
@@ -349,13 +344,11 @@ func (s *Server) runJob(job *Job) {
 	s.agg.CacheMisses += cells.CacheMisses
 	s.agg.Simulated += cells.Simulated
 	s.agg.Errors += cells.Errors
-	s.agg.LeaseWaits += cells.LeaseWaits
-	s.agg.LeaseHits += cells.LeaseHits
 	s.mu.Unlock()
 }
 
 // buildLab assembles the job's Lab: spec options, stripped fault rules,
-// the shared store + a per-job leaser, and the worker-kill hook.
+// the shared store, and the worker-kill hook.
 func (s *Server) buildLab(ctx context.Context, job *Job) *repro.Lab {
 	opts := repro.LabOptions{
 		Window:        dram.PS(job.Spec.WindowUS) * dram.Microsecond,
@@ -369,8 +362,6 @@ func (s *Server) buildLab(ctx context.Context, job *Job) *repro.Lab {
 	}
 	lab := repro.NewLab(opts)
 	lab.AttachCache(s.store)
-	owner := s.opts.ServerID + "_" + job.ID
-	lab.AttachLeaser(newStoreLeaser(s.store, owner, s.opts.LeaseTTL, s.opts.Clock, s.opts.Seed))
 	return lab
 }
 
@@ -464,21 +455,26 @@ func (s *Server) Draining() bool {
 
 // StatsSnapshot is the JSON document served by GET /stats.
 type StatsSnapshot struct {
-	ServerID    string               `json:"server_id"`
-	Draining    bool                 `json:"draining"`
-	QueueDepth  int                  `json:"queue_depth"`
-	QueueCap    int                  `json:"queue_cap"`
-	Workers     int                  `json:"workers"`
-	RunningJobs int                  `json:"running_jobs"`
-	Shed        int64                `json:"shed"`
-	JobsByState map[JobState]int     `json:"jobs_by_state"`
-	Cells       sim.CellStats        `json:"cells"`
-	Store       cellcache.Stats      `json:"store"`
-	Leases      cellcache.LeaseStats `json:"leases"`
+	ServerID    string           `json:"server_id"`
+	Draining    bool             `json:"draining"`
+	QueueDepth  int              `json:"queue_depth"`
+	QueueCap    int              `json:"queue_cap"`
+	Workers     int              `json:"workers"`
+	RunningJobs int              `json:"running_jobs"`
+	Shed        int64            `json:"shed"`
+	JobsByState map[JobState]int `json:"jobs_by_state"`
+	Cells       sim.CellStats    `json:"cells"`
+	Store       cellcache.Stats  `json:"store"`
+	// Leases is always zero: the farm has no compute leases. It is kept
+	// only because the perfbench module still reads these fields; remove
+	// the two together.
+	Leases struct {
+		Claims, Conflicts, Reclaimed, Released int64
+	} `json:"leases"`
 }
 
 // Stats returns a point-in-time operational snapshot. Cell counters
-// aggregate finished jobs; store/lease counters are live.
+// aggregate finished jobs; store counters are live.
 func (s *Server) Stats() StatsSnapshot {
 	s.mu.Lock()
 	byState := make(map[JobState]int)
@@ -498,6 +494,5 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 	s.mu.Unlock()
 	snap.Store = s.store.Stats()
-	snap.Leases = s.store.LeaseStats()
 	return snap
 }

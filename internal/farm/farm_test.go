@@ -1,12 +1,12 @@
 package farm
 
 // Service-level acceptance tests (test files are exempt from the noclock
-// lint, so the real wall clock drives the server here; the fake-clock
-// tests at the bottom pin the lease/backoff behaviour deterministically):
+// lint, so the real wall clock drives the server here):
 //
 //   - a submitted golden-spec job reproduces testdata/lab_golden.txt
 //     byte-for-byte through the HTTP API;
-//   - duplicate concurrent jobs dedupe through the shared store + leases;
+//   - a duplicate job submitted after the first finishes is served
+//     entirely from the shared store;
 //   - admission control sheds with 429 + Retry-After at queue capacity
 //     while in-flight jobs still complete;
 //   - per-renderer faults degrade a job to partial results, untouched
@@ -29,26 +29,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cellcache"
 	"repro/internal/fault"
 )
-
-// realClock is the wall clock for tests that don't need to control time.
-func realClock() Clock {
-	return Clock{
-		Now: time.Now,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		},
-	}
-}
 
 // newTestServer builds and starts a server with fast test defaults;
 // mutate applies per-test option overrides before New.
@@ -58,8 +40,7 @@ func newTestServer(t *testing.T, mutate func(*Options)) *Server {
 		ServerID: "test",
 		Queue:    8,
 		Workers:  2,
-		LeaseTTL: 500 * time.Millisecond,
-		Clock:    realClock(),
+		Clock:    Clock{Now: time.Now},
 	}
 	if mutate != nil {
 		mutate(&opts)
@@ -209,9 +190,10 @@ func TestServerGoldenJobHTTP(t *testing.T) {
 	}
 }
 
-// TestDuplicateJobsDedupe submits the same spec twice onto two workers
-// sharing one store: both complete identically, and every cell of the
-// loser is served by cache hit or lease wait — never a third compute.
+// TestDuplicateJobsDedupe is the cache handoff between jobs: a
+// duplicate submitted after the first job finishes is served entirely
+// from the shared store — not one cell simulated — and both outputs
+// match the golden sections.
 func TestDuplicateJobsDedupe(t *testing.T) {
 	s := newTestServer(t, func(o *Options) {
 		o.CacheDir = t.TempDir()
@@ -221,6 +203,9 @@ func TestDuplicateJobsDedupe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := waitTerminal(t, j1); st != JobDone {
+		t.Fatalf("job1 %s: %q", st, j1.Status().Error)
+	}
 	j2, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -228,23 +213,19 @@ func TestDuplicateJobsDedupe(t *testing.T) {
 	if j1.Key != j2.Key {
 		t.Fatalf("duplicate specs got different keys %s vs %s", j1.Key, j2.Key)
 	}
-	if st := waitTerminal(t, j1); st != JobDone {
-		t.Fatalf("job1 %s: %q", st, j1.Status().Error)
-	}
 	if st := waitTerminal(t, j2); st != JobDone {
 		t.Fatalf("job2 %s: %q", st, j2.Status().Error)
 	}
-	if j1.Output() != j2.Output() || j1.Output() == "" {
-		t.Fatalf("duplicate jobs disagree (%d vs %d bytes)", len(j1.Output()), len(j2.Output()))
-	}
 	want := goldenSection(t, "table2") + goldenSection(t, "figure3")
-	if j1.Output() != want {
-		t.Fatalf("output diverged from golden sections (%d vs %d bytes)", len(j1.Output()), len(want))
+	for i, j := range []*Job{j1, j2} {
+		if j.Output() != want {
+			t.Fatalf("job%d output diverged from golden sections (%d vs %d bytes)", i+1, len(j.Output()), len(want))
+		}
+	}
+	if c := j2.Status().Cells; c.Simulated != 0 || c.CacheHits < 1 {
+		t.Fatalf("duplicate job not served from the store: %+v", c)
 	}
 	stats := s.Stats()
-	if stats.Cells.CacheHits+stats.Cells.LeaseWaits == 0 {
-		t.Fatalf("no dedup between duplicate jobs: %+v", stats.Cells)
-	}
 	if stats.JobsByState[JobDone] != 2 {
 		t.Fatalf("jobs by state = %v, want 2 done", stats.JobsByState)
 	}
@@ -442,7 +423,7 @@ func TestWorkerKillRequiresKillFunc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(Options{ServerID: "x", Clock: realClock(), Faults: rules})
+	_, err = New(Options{ServerID: "x", Clock: Clock{Now: time.Now}, Faults: rules})
 	if err == nil || !strings.Contains(err.Error(), "Kill") {
 		t.Fatalf("New = %v, want worker-kill/Kill config error", err)
 	}
@@ -504,97 +485,5 @@ func TestDrain(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusOK {
 		t.Fatalf("healthz while draining = %d, want 200 (liveness != readiness)", r2.StatusCode)
-	}
-}
-
-// --- fake-clock tests: the lease lifecycle without wall-time coupling ---
-
-// fakeClock is a manual clock whose Sleep advances time instantly.
-type fakeClock struct {
-	now atomic.Int64 // unix nanos
-}
-
-func (c *fakeClock) clock() Clock {
-	return Clock{
-		Now: func() time.Time { return time.Unix(0, c.now.Load()) },
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			c.now.Add(int64(d))
-			return nil
-		},
-	}
-}
-
-// TestStoreLeaserReclaimsExpired is the crashed-worker story in
-// miniature, on a fake clock: owner "dead" claims a cell and vanishes;
-// owner "live" conflicts, backs off (advancing fake time), and reclaims
-// the lease the moment it expires — bounded by the TTL, no wedging.
-func TestStoreLeaserReclaimsExpired(t *testing.T) {
-	store, err := cellcache.New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := &fakeClock{}
-	fc.now.Store(1)
-	const ttl = time.Second
-
-	dead := newStoreLeaser(store, "dead", ttl, fc.clock(), 7)
-	if !dead.Claim("cell0") {
-		t.Fatal("first claim refused")
-	}
-	// "dead" crashes here: never releases, never renews.
-
-	live := newStoreLeaser(store, "live", ttl, fc.clock(), 7)
-	if live.Claim("cell0") {
-		t.Fatal("live claimed over a live lease")
-	}
-	ctx := context.Background()
-	waits := 0
-	for !live.Claim("cell0") {
-		if err := live.Wait(ctx, "cell0"); err != nil {
-			t.Fatal(err)
-		}
-		waits++
-		if waits > 64 {
-			t.Fatal("lease never reclaimed; wedged on a dead owner")
-		}
-	}
-	// The backoff is capped at ttl/2, so reclaim needs at least 2 waits
-	// and fake time has advanced past the expiry — but not unboundedly.
-	if elapsed := time.Duration(fc.now.Load() - 1); elapsed < ttl || elapsed > 4*ttl {
-		t.Fatalf("reclaim after %v of fake time, want within [ttl, 4*ttl]", elapsed)
-	}
-	ls := store.LeaseStats()
-	if ls.Reclaimed != 1 || ls.Conflicts == 0 {
-		t.Fatalf("lease stats %+v, want 1 reclaim and >0 conflicts", ls)
-	}
-
-	// Release by the new owner works; the dead owner's late release is a
-	// harmless no-op.
-	live.Release("cell0")
-	dead.Release("cell0")
-	if got := store.LeaseStats().Released; got != 1 {
-		t.Fatalf("released = %d, want 1 (dead owner's release must no-op)", got)
-	}
-	if !dead.Claim("cell0") {
-		t.Fatal("cell not claimable after release")
-	}
-}
-
-// TestStoreLeaserWaitCancellation: a cancelled context aborts the wait
-// with the context's error.
-func TestStoreLeaserWaitCancellation(t *testing.T) {
-	store, err := cellcache.New("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := &fakeClock{}
-	l := newStoreLeaser(store, "w", time.Second, fc.clock(), 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := l.Wait(ctx, "k"); err != context.Canceled {
-		t.Fatalf("Wait on cancelled ctx = %v, want context.Canceled", err)
 	}
 }

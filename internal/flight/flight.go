@@ -23,9 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"os"
 	"runtime/debug"
 	"sync"
 )
@@ -59,38 +56,15 @@ func Protect(fn func() error) (err error) {
 	return fn()
 }
 
-// IsTransient reports whether err is worth retrying. The classification,
-// in precedence order:
-//
-//  1. An explicit marker anywhere in the chain (interface{ Transient()
-//     bool }) is authoritative in both directions: Transient() == false
-//     pins the error as permanent even if a timeout sits deeper in the
-//     chain.
-//  2. net.Error timeouts (net/http round-trip deadlines, dial timeouts)
-//     are transient: the peer may well answer the next attempt.
-//  3. Torn short reads (io.ErrUnexpectedEOF) and expired I/O deadlines
-//     (os.ErrDeadlineExceeded) are transient: both mean the bytes were
-//     cut off mid-flight, not that they can never arrive.
-//
-// Cancellation is never transient — context.Canceled and
+// IsTransient reports whether err is worth retrying: true only when an
+// explicit marker in the chain (interface{ Transient() bool }) says so.
+// The marker is authoritative in both directions, and an unmarked error
+// — cancellation included — is permanent: context.Canceled and
 // context.DeadlineExceeded mean the caller gave up, and retrying against
 // a dead context would spin through attempts doing nothing.
 func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
 	var tr interface{ Transient() bool }
-	if errors.As(err, &tr) {
-		return tr.Transient()
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, os.ErrDeadlineExceeded)
+	return errors.As(err, &tr) && tr.Transient()
 }
 
 // Retry runs fn up to `attempts` times, stopping at the first success or

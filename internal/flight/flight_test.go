@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -381,16 +380,8 @@ func TestIsTransient(t *testing.T) {
 		{"marker joined", errors.Join(errors.New("context"), transientErr{"flaky"}), true},
 		{"marker wrapped", fmt.Errorf("cell: %w", transientErr{"flaky"}), true},
 
-		// net.Error classification: timeouts retry, other net errors do not.
-		{"net timeout", fakeNetErr{timeout: true}, true},
-		{"net timeout wrapped", fmt.Errorf("round trip: %w", fakeNetErr{timeout: true}), true},
+		// Unmarked errors are permanent, whatever their type.
 		{"net non-timeout", fakeNetErr{timeout: false}, false},
-		{"op error timeout", &net.OpError{Op: "read", Err: os.ErrDeadlineExceeded}, true},
-
-		// Wrapped I/O: torn reads and expired I/O deadlines retry.
-		{"unexpected EOF", io.ErrUnexpectedEOF, true},
-		{"unexpected EOF wrapped", fmt.Errorf("decode header: %w", io.ErrUnexpectedEOF), true},
-		{"io deadline wrapped", fmt.Errorf("conn read: %w", os.ErrDeadlineExceeded), true},
 		{"plain EOF", io.EOF, false},
 
 		// Cancellation is the caller giving up, never retried — even

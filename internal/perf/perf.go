@@ -7,9 +7,9 @@
 // The benchmark bodies are exported as ordinary functions taking
 // *testing.B so two callers can share them: the package's own
 // Benchmark wrappers (run in CI with -benchtime=1x as a smoke test, and
-// by hand when optimizing), and the repository bench harness, which runs
-// them through testing.Benchmark and records ns/op and allocs/op in the
-// committed BENCH_<date>.json trajectory.
+// by hand when optimizing), and the repository benchmark
+// (`bash perfbench/run.sh`), which runs them through testing.Benchmark
+// to reconcile per-layer event counts against a profiled cell.
 //
 // Every benchmark builds the paper's baseline configuration (16 banks x
 // 128K rows, DDR4-2400, AQUA memory-mapped at T_RH=1K) so the numbers

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cellcache"
@@ -387,5 +388,91 @@ func TestCellKeyDeterminism(t *testing.T) {
 			t.Fatalf("varying %s collided with %s", what, prior)
 		}
 		seen[k] = what
+	}
+}
+
+// TestSharedStoreConcurrentRunners pins the cross-Runner contract:
+// Runners share nothing but the content-addressed store. Two Runners
+// resolving the same cell at once over one cache directory may both
+// simulate it, and both must return the identical result; a third,
+// fresh Runner on that directory then serves the cell without simulating.
+func TestSharedStoreConcurrentRunners(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (WorkloadRun, CellStats, error) {
+		store, err := cellcache.New(dir)
+		if err != nil {
+			return WorkloadRun{}, CellStats{}, err
+		}
+		r := NewRunner(gridCfg(1))
+		r.AttachCellCache(store)
+		res, err := r.Run("xz", SchemeAquaMemMapped, 1000)
+		return res, r.CellStats(), err
+	}
+	var got [2]WorkloadRun
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _, errs[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("runner %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("concurrent runners diverged:\n 0: %+v\n 1: %+v", got[0], got[1])
+	}
+
+	res, st, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, got[0]) {
+		t.Fatalf("stored result diverged:\nwant %+v\ngot  %+v", got[0], res)
+	}
+	if st.Simulated != 0 || st.CacheHits < 1 {
+		t.Fatalf("fresh runner stats %+v; want a hit and no simulation", st)
+	}
+}
+
+// TestOnCellStartFiresPerComputeAttempt: the hook fires once per compute
+// attempt — baseline + scheme cell — and never for cells served from the
+// memo.
+func TestOnCellStartFiresPerComputeAttempt(t *testing.T) {
+	cfg := gridCfg(1)
+	var mu sync.Mutex
+	var starts []string
+	cfg.OnCellStart = func(w string, s Scheme, trh int64) {
+		mu.Lock()
+		starts = append(starts, w+"/"+s.String())
+		mu.Unlock()
+	}
+	r := NewRunner(cfg)
+	if _, err := r.Run("xz", SchemeAquaMemMapped, 1000); err != nil {
+		t.Fatal(err)
+	}
+	// One compute attempt for the baseline cell the scheme cell depends
+	// on, then one for the scheme cell.
+	if !reflect.DeepEqual(starts, []string{"xz/baseline", "xz/aqua-memmapped"}) {
+		t.Fatalf("OnCellStart fired %v, want exactly [xz/baseline xz/aqua-memmapped]", starts)
+	}
+	// A repeat of the same cell is served from the memo: no new fires.
+	if _, err := r.Run("xz", SchemeAquaMemMapped, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if len(starts) != 2 {
+		t.Fatalf("memo-served cell fired OnCellStart: %v", starts)
+	}
+	// A different cell fires again.
+	if _, err := r.Run("xz", SchemeRRS, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if len(starts) != 3 || starts[2] != "xz/rrs" {
+		t.Fatalf("second cell: OnCellStart fired %v", starts)
 	}
 }

@@ -6,7 +6,6 @@ package sim
 // that configuration and served on any later run, in any process.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -104,36 +103,6 @@ func (r *Runner) keyAt(version, kind string, k cellKey) (string, error) {
 // enter the store. Pass nil to detach.
 func (r *Runner) AttachCellCache(s *cellcache.Store) { r.store = s }
 
-// CellLeaser lifts singleflight semantics to the cache layer: where the
-// in-process flight.Group coalesces concurrent callers inside one
-// Runner, a leaser coordinates Runners in different processes sharing a
-// cache directory (cellcache leases are one implementation; the farm
-// wraps them with its clock and backoff). The Runner stays clock-free —
-// how long Wait blocks, and whether it does at all, is the leaser's
-// business.
-type CellLeaser interface {
-	// Claim tries to acquire the compute lease for the content-addressed
-	// cache key, reporting whether the caller should compute the unit.
-	// False means another owner holds a live lease.
-	Claim(key string) bool
-	// Wait blocks until the lease for key may have changed hands (the
-	// holder finished, released, or expired), or ctx ends; it returns
-	// ctx.Err() on cancellation and nil otherwise. Implementations
-	// choose the polling or notification strategy.
-	Wait(ctx context.Context, key string) error
-	// Release drops a lease acquired by Claim once the result has been
-	// stored (or the attempt failed). Releasing an expired/lost lease
-	// must be a harmless no-op.
-	Release(key string)
-}
-
-// AttachLeaser attaches the cross-process compute coordinator. It only
-// takes effect alongside an attached cell cache — without a store to
-// poll, waiting on another process's lease could never observe its
-// result. Pass nil to detach. Attach before any cells run; the field is
-// read concurrently afterwards.
-func (r *Runner) AttachLeaser(l CellLeaser) { r.leaser = l }
-
 // CellStats summarizes how cell requests were satisfied. A cell's
 // baseline dependency counts as a request of its own; calibration units
 // are not cells and are not counted.
@@ -148,13 +117,6 @@ type CellStats struct {
 	Simulated int64
 	// Errors is the number of requests that failed.
 	Errors int64
-	// LeaseWaits counts times a cell found another process's live compute
-	// lease and waited instead of simulating.
-	LeaseWaits int64
-	// LeaseHits counts waits that ended with the other process's result
-	// served from the store — cross-process dedup. Each is also counted
-	// in CacheHits (it is one).
-	LeaseHits int64
 	// TraceCaptures counts workload core-streams generated once and
 	// packed into the capture/replay tier (tracetier.go), including
 	// captures that ran over budget and were served uncached.

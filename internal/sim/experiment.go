@@ -158,12 +158,6 @@ type Runner struct {
 	// cellkey.go): completed units are served from it across processes
 	// and written back to it. Nil means no store.
 	store *cellcache.Store
-	// leaser, when attached alongside store, coordinates computation
-	// across processes sharing the store: a missed unit claims a compute
-	// lease before simulating, and a claim lost to another owner polls the
-	// store instead of duplicating the work (see CellLeaser). Nil means
-	// every miss simulates.
-	leaser CellLeaser
 
 	// cells and ipcs are the two kinds of shared work (resolve.go): grid
 	// cells, keyed by identity, and calibrated IPCs, keyed by workload.
@@ -571,8 +565,8 @@ func (r *Runner) Run(name string, scheme Scheme, trh int64) (WorkloadRun, error)
 // as the context's error, unwrapped.
 //
 // The cell resolves through the Runner's one path (resolve.go): memo,
-// coalesced in-flight execution, the content-addressed store, the
-// compute lease, and only then a fresh simulation. Faulted cells take the
+// coalesced in-flight execution, the content-addressed store, and only
+// then a fresh simulation. Faulted cells take the
 // same path — their keys hash their fault plans — and failed (including
 // cancelled) cells are never stored anywhere.
 //

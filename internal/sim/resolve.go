@@ -5,10 +5,16 @@ package sim
 // cells — a workload's calibrated IPC, and each grid cell, the measured
 // baseline being the (workload, baseline, 1000) cell — is served the
 // same way: memo, then a coalesced in-flight execution of the same key,
-// then the content-addressed store, then the cross-process compute
-// lease, and only then a protected compute. Keys hash every fault plan
-// a unit depends on, so faulted and fault-free runs share the path and
-// can never serve each other's results.
+// then the content-addressed store, and only then a protected compute.
+// Keys hash every fault plan a unit depends on, so faulted and
+// fault-free runs share the path and can never serve each other's
+// results.
+//
+// Coalescing stops at the Runner. Runners — in one process or in several
+// sharing a cache directory — share nothing but the store, so two of
+// them missing the same unit at once both compute it. The simulation is
+// deterministic and the store lands entries by atomic rename, so the
+// worst case is one duplicate simulation writing identical bytes.
 
 import (
 	"context"
@@ -83,7 +89,7 @@ func (u *units[K, V]) resolve(ctx context.Context, r *Runner, key K, w work[V]) 
 		if v, ok := u.get(key); ok {
 			return v, nil
 		}
-		v, err := fill(ctx, r, w)
+		v, err := fill(r, w)
 		if err == nil {
 			u.put(key, v)
 		}
@@ -96,9 +102,9 @@ func (u *units[K, V]) resolve(ctx context.Context, r *Runner, key K, w work[V]) 
 }
 
 // fill resolves a memo miss inside its singleflight execution: the
-// store, the compute lease, then compute. A unit whose key cannot be
-// derived (an unknown workload) skips the store and fails in compute.
-func fill[V any](ctx context.Context, r *Runner, w work[V]) (V, error) {
+// store, then compute. A unit whose key cannot be derived (an unknown
+// workload) skips the store and fails in compute.
+func fill[V any](r *Runner, w work[V]) (V, error) {
 	var hash string
 	if r.store != nil {
 		hash, _ = w.hash()
@@ -109,13 +115,6 @@ func fill[V any](ctx context.Context, r *Runner, w work[V]) (V, error) {
 			return v, nil
 		}
 		r.tally(w.cell, func(s *CellStats) { s.CacheMisses++ })
-		if r.leaser != nil {
-			v, served, err := awaitLease(ctx, r, hash, w)
-			if err != nil || served {
-				return v, err
-			}
-			defer r.leaser.Release(hash)
-		}
 	}
 	v, err := w.compute()
 	if err != nil {
@@ -130,28 +129,6 @@ func fill[V any](ctx context.Context, r *Runner, w work[V]) (V, error) {
 		}
 	}
 	return v, nil
-}
-
-// awaitLease is the lease protocol around one missed unit: claim, and
-// while another owner holds the lease, wait and re-poll the store. It
-// returns (v, true, nil) when the unit landed in the store while
-// waiting, (zero, false, nil) when the lease was acquired — the caller
-// must compute and then Release — and an error only on cancellation.
-func awaitLease[V any](ctx context.Context, r *Runner, hash string, w work[V]) (V, bool, error) {
-	var zero V
-	for {
-		if r.leaser.Claim(hash) {
-			return zero, false, nil
-		}
-		r.tally(w.cell, func(s *CellStats) { s.LeaseWaits++ })
-		if err := r.leaser.Wait(ctx, hash); err != nil {
-			return zero, false, err
-		}
-		if v, ok := load(r, hash, w.valid); ok {
-			r.tally(w.cell, func(s *CellStats) { s.CacheHits++; s.LeaseHits++ })
-			return v, true, nil
-		}
-	}
 }
 
 // load decodes a stored unit. Any defect — undecodable payload, identity
