@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz bench bench-quick bench-smoke bench-full fault-smoke cache-smoke serve-smoke trace-smoke
+.PHONY: all build lint test race fuzz digests bench bench-quick bench-smoke bench-full fault-smoke cache-smoke serve-smoke trace-smoke
 
 all: build lint test
 
@@ -31,6 +31,18 @@ race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=10s ./internal/trace
+
+# Default-seed digest check: one pass of the benchmark's grid_cold (180
+# cells at 4ms) and full_hot (6 cells over full 64ms windows) workloads.
+# The benchmark compares every cell's result against
+# perfbench/digests.json; any mismatch or failed cell shows as a nonzero
+# "failed" count on its result line.
+digests:
+	@for w in grid_cold full_hot; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$w: $$line"; \
+		echo "$$line" | grep -q '"failed":0,' || { echo "FAIL: $$w digests"; exit 1; }; \
+	done
 
 # Full benchmark sweep (64ms window, 34 workloads). Knobs:
 #   REPRO_BENCH_WINDOW_MS=4 REPRO_BENCH_WORKLOADS=spec  quick mode

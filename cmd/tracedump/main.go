@@ -6,12 +6,12 @@
 //	tracedump record -workload gcc -n 100000 -o gcc.trace   # synthesize + save
 //	tracedump record -attack double-sided -o atk.trace      # attack pattern
 //	tracedump info gcc.trace                                # header + stats
-//	tracedump dump gcc.trace | head                         # text format
+//	tracedump dump gcc.trace | head                         # one line per record
 //	tracedump replay gcc.trace -scheme aqua-memmapped       # run through a scheme
-//	tracedump convert -to text -o gcc.txt gcc.trace         # text <-> v1 conversion
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -33,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracedump: ")
 	if len(os.Args) < 2 {
-		log.Fatal("usage: tracedump record|info|dump|replay|convert ...")
+		log.Fatal("usage: tracedump record|info|dump|replay ...")
 	}
 	var err error
 	switch os.Args[1] {
@@ -45,8 +45,6 @@ func main() {
 		err = runDump(os.Args[2:], os.Stdout)
 	case "replay":
 		replay(os.Args[2:])
-	case "convert":
-		err = runConvert(os.Args[2:], os.Stdout)
 	default:
 		log.Fatalf("unknown subcommand %q", os.Args[1])
 	}
@@ -183,16 +181,30 @@ func runInfo(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runDump writes a v1 trace in the text format.
+// runDump prints a v1 trace one "R|W <row> <gap>" line per record. It
+// reads the whole trace first, so a truncated trace prints nothing.
 func runDump(args []string, stdout io.Writer) error {
 	if len(args) < 1 {
 		return fmt.Errorf("dump: need a trace file")
 	}
-	recs, err := loadRecords(args[0], trace.FormatV1)
+	r, f, err := openV1(args[0])
 	if err != nil {
 		return err
 	}
-	return trace.WriteText(stdout, recs)
+	defer f.Close()
+	var recs []trace.Record
+	if err := eachRecord(r, func(rec trace.Record) { recs = append(recs, rec) }); err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(stdout)
+	for _, rec := range recs {
+		op := "R"
+		if rec.Write {
+			op = "W"
+		}
+		fmt.Fprintf(bw, "%s %d %d\n", op, rec.Row, rec.GapInstr)
+	}
+	return bw.Flush()
 }
 
 func replay(args []string) {

@@ -25,19 +25,14 @@ type Config struct {
 	// BlacklistThreshold is the activation count after which a row is
 	// throttled (the paper's Table VI comparison uses 256).
 	BlacklistThreshold int64
-	// Window is the enforcement window (default tREFW).
-	Window dram.PS
 }
 
-func (c *Config) fillDefaults(t dram.Timing) {
+func (c *Config) fillDefaults() {
 	if c.TRH == 0 {
 		c.TRH = 1000
 	}
 	if c.BlacklistThreshold == 0 {
 		c.BlacklistThreshold = 256
-	}
-	if c.Window == 0 {
-		c.Window = t.TREFW
 	}
 }
 
@@ -51,9 +46,9 @@ func (c Config) Quota() int64 {
 }
 
 // Spacing returns the enforced minimum time between activations of a
-// blacklisted row.
-func (c Config) Spacing() dram.PS {
-	return c.Window / dram.PS(c.Quota())
+// blacklisted row: the refresh window tREFW shared out over the quota.
+func (c Config) Spacing(t dram.Timing) dram.PS {
+	return t.TREFW / dram.PS(c.Quota())
 }
 
 // Engine implements mitigation.Mitigator for Blockhammer. It uses an ideal
@@ -61,8 +56,9 @@ func (c Config) Spacing() dram.PS {
 // comparison, so the measured overhead is a lower bound for the scheme.
 // Not safe for concurrent use.
 type Engine struct {
-	cfg  Config
-	geom dram.Geometry
+	cfg     Config
+	geom    dram.Geometry
+	spacing dram.PS
 
 	counts      map[dram.Row]int64
 	nextAllowed map[dram.Row]dram.PS
@@ -74,10 +70,11 @@ var _ mitigation.Mitigator = (*Engine)(nil)
 
 // New builds a Blockhammer engine for the rank.
 func New(rank *dram.Rank, cfg Config) *Engine {
-	cfg.fillDefaults(rank.Timing())
+	cfg.fillDefaults()
 	return &Engine{
 		cfg:         cfg,
 		geom:        rank.Geometry(),
+		spacing:     cfg.Spacing(rank.Timing()),
 		counts:      make(map[dram.Row]int64),
 		nextAllowed: make(map[dram.Row]dram.PS),
 	}
@@ -102,7 +99,7 @@ func (e *Engine) Delay(row dram.Row, now dram.PS) dram.PS {
 	if na, ok := e.nextAllowed[row]; ok && na > issue {
 		issue = na
 	}
-	e.nextAllowed[row] = issue + e.cfg.Spacing()
+	e.nextAllowed[row] = issue + e.spacing
 	if issue > now {
 		e.stats.ThrottleDelay += issue - now
 	}

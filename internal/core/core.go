@@ -60,6 +60,21 @@ func (m Mode) String() string {
 	return "memmapped"
 }
 
+// The fixed parameters of the memory-mapped lookup path and the drainer
+// (DESIGN.md "Fixed-machine constants"). SRAM tables charge
+// mitigation.SRAMLatency.
+const (
+	// fptCacheWays is the FPT-Cache associativity.
+	fptCacheWays = 16
+	// bloomLatency and cacheLatency are the lookup latencies of the bloom
+	// filter (~1 cycle at 3GHz) and of one FPT-Cache probe (~2 cycles).
+	bloomLatency dram.PS = 340
+	cacheLatency dram.PS = 670
+	// drainLookahead bounds how many slots ahead of the head pointer the
+	// background drainer keeps clean.
+	drainLookahead = 64
+)
+
 // Config parameterizes an AQUA engine.
 type Config struct {
 	// TRH is the Rowhammer threshold; migrations trigger every TRH/2
@@ -75,24 +90,14 @@ type Config struct {
 	// BloomGroupSize is the rows-per-bloom-bit grouping (default 16: half a
 	// 64-byte FPT cacheline).
 	BloomGroupSize int
-	// FPTCacheEntries and FPTCacheWays size the FPT-Cache (default 4K x 16).
+	// FPTCacheEntries sizes the FPT-Cache (default 4K entries of
+	// fptCacheWays ways).
 	FPTCacheEntries int
-	FPTCacheWays    int
 	// ProactiveDrain enables the Section IV-D optimization: during idle
 	// periods the engine evicts stale quarantine entries just ahead of
 	// the head pointer, so a later quarantine rarely pays the extra
 	// 1.37us move-out on its critical path.
 	ProactiveDrain bool
-	// DrainLookahead bounds how many slots ahead of the head pointer the
-	// background drainer keeps clean (default 64).
-	DrainLookahead int
-	// SRAMLatency is the lookup latency of SRAM tables (default 4 cycles at
-	// 3GHz ~= 1.33ns, the paper's "3 to 4 cycles").
-	SRAMLatency dram.PS
-	// BloomLatency and CacheLatency are the lookup latencies of the bloom
-	// filter and FPT-Cache.
-	BloomLatency dram.PS
-	CacheLatency dram.PS
 	// Seed controls hash seeds of the CAT.
 	Seed uint64
 	// Invariants, when non-nil, enables runtime invariant checking: O(1)
@@ -121,21 +126,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FPTCacheEntries == 0 {
 		c.FPTCacheEntries = 4096
-	}
-	if c.FPTCacheWays == 0 {
-		c.FPTCacheWays = 16
-	}
-	if c.SRAMLatency == 0 {
-		c.SRAMLatency = 1330 // ~4 cycles at 3GHz
-	}
-	if c.BloomLatency == 0 {
-		c.BloomLatency = 340 // ~1 cycle
-	}
-	if c.CacheLatency == 0 {
-		c.CacheLatency = 670 // ~2 cycles
-	}
-	if c.DrainLookahead == 0 {
-		c.DrainLookahead = 64
 	}
 }
 
@@ -193,12 +183,13 @@ type Engine struct {
 	fast     []uint64
 	fastRows uint64
 	// fastLat/fastClass are the mode's precomputed fast-path translation
-	// (BloomLatency/LookupBloomFiltered memory-mapped, SRAMLatency/
-	// LookupSRAM in SRAM mode), so the hot path is branch-free on mode.
+	// (bloomLatency/LookupBloomFiltered memory-mapped,
+	// mitigation.SRAMLatency/LookupSRAM in SRAM mode), so the hot path is
+	// branch-free on mode.
 	fastLat   dram.PS
 	fastClass mitigation.LookupClass
-	head    int
-	epoch   int64
+	head      int
+	epoch     int64
 	// quarCount tracks the number of valid RPT entries incrementally, so
 	// the invariant layer can assert occupancy in O(1) after each
 	// mitigation and cross-check it against the full scan at epoch ends.
@@ -321,7 +312,7 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 
 	if cfg.Mode == ModeMemMapped {
 		e.bloom = bloom.New(geom.Rows(), cfg.BloomGroupSize)
-		e.fptCache = sramcache.New(cfg.FPTCacheEntries, cfg.FPTCacheWays, cfg.BloomGroupSize)
+		e.fptCache = sramcache.New(cfg.FPTCacheEntries, fptCacheWays, cfg.BloomGroupSize)
 	}
 
 	if cfg.Mode == ModeSRAM {
@@ -335,9 +326,9 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 	e.fast = make([]uint64, (geom.Rows()+63)/64)
 	e.fastRows = uint64(geom.Rows())
 	if cfg.Mode == ModeMemMapped {
-		e.fastLat, e.fastClass = e.cfg.BloomLatency, mitigation.LookupBloomFiltered
+		e.fastLat, e.fastClass = bloomLatency, mitigation.LookupBloomFiltered
 	} else {
-		e.fastLat, e.fastClass = e.cfg.SRAMLatency, mitigation.LookupSRAM
+		e.fastLat, e.fastClass = mitigation.SRAMLatency, mitigation.LookupSRAM
 	}
 	// At construction nothing is quarantined, no forward entry exists, and
 	// the bloom is empty, so fastEligible reduces to the static region
@@ -568,7 +559,7 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 			phys = e.slotRow(int(s))
 		}
 		e.stats.Lookups[mitigation.LookupPinned]++
-		return mitigation.Translation{PhysRow: phys, Latency: e.cfg.SRAMLatency, Class: mitigation.LookupPinned}
+		return mitigation.Translation{PhysRow: phys, Latency: mitigation.SRAMLatency, Class: mitigation.LookupPinned}
 	}
 
 	if e.cfg.Mode == ModeSRAM {
@@ -577,11 +568,11 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 			phys = e.slotRow(int(s))
 		}
 		e.stats.Lookups[mitigation.LookupSRAM]++
-		return mitigation.Translation{PhysRow: phys, Latency: e.cfg.SRAMLatency, Class: mitigation.LookupSRAM}
+		return mitigation.Translation{PhysRow: phys, Latency: mitigation.SRAMLatency, Class: mitigation.LookupSRAM}
 	}
 
 	// Memory-mapped lookup path.
-	lat := e.cfg.BloomLatency
+	lat := bloomLatency
 	if !e.bloom.MightContain(uint32(row)) {
 		e.stats.Lookups[mitigation.LookupBloomFiltered]++
 		return mitigation.Translation{PhysRow: row, Latency: lat, Class: mitigation.LookupBloomFiltered}
@@ -593,13 +584,13 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 		// fptSlot array, not the cache, is the source of truth).
 		e.fptCache.Invalidate(uint32(row))
 	}
-	lat += e.cfg.CacheLatency
+	lat += cacheLatency
 	if slot, hit := e.fptCache.Lookup(uint32(row)); hit {
 		e.stats.Lookups[mitigation.LookupCacheHit]++
 		return mitigation.Translation{PhysRow: e.slotRow(int(slot)), Latency: lat, Class: mitigation.LookupCacheHit}
 	}
 	// Second same-set probe: singleton filtering (Section V-D).
-	lat += e.cfg.CacheLatency
+	lat += cacheLatency
 	if e.fptCache.ProbeGroupSingleton(uint32(row)) {
 		e.stats.Lookups[mitigation.LookupSingleton]++
 		return mitigation.Translation{PhysRow: row, Latency: lat, Class: mitigation.LookupSingleton}
@@ -925,13 +916,13 @@ func (e *Engine) OnEpoch(now dram.PS) {
 // be removed from the critical path by periodically draining old
 // entries"). A persistent cursor sweeps the RQA so every stale entry is
 // eventually restored to its original location; per call, at most
-// DrainLookahead slots are scanned and at most one eviction is performed.
+// drainLookahead slots are scanned and at most one eviction is performed.
 // Returns the channel time consumed (0 if there was nothing to drain).
 func (e *Engine) OnIdle(now dram.PS) dram.PS {
 	if !e.cfg.ProactiveDrain || e.drainRemaining == 0 {
 		return 0
 	}
-	look := e.cfg.DrainLookahead
+	look := drainLookahead
 	if look > e.drainRemaining {
 		look = e.drainRemaining
 	}

@@ -18,6 +18,11 @@ package mitigation
 
 import "repro/internal/dram"
 
+// SRAMLatency is the lookup latency of an SRAM indirection table: 4
+// cycles at 3GHz, the paper's "3 to 4 cycles". AQUA's SRAM-mode FPT and
+// pinned table-row entries and RRS's RIT all charge it.
+const SRAMLatency dram.PS = 1330
+
 // LookupClass classifies how a Translate call resolved, feeding the
 // Figure 10 breakdown.
 type LookupClass int

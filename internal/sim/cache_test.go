@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cellcache"
+	"repro/internal/dram"
 	"repro/internal/fault"
 )
 
@@ -388,6 +389,24 @@ func TestCellKeyDeterminism(t *testing.T) {
 			t.Fatalf("varying %s collided with %s", what, prior)
 		}
 		seen[k] = what
+	}
+}
+
+// TestCellKeyPinned pins one cell key and one calibration key to their
+// hex values, so a refactor of what keyAt prints cannot silently orphan
+// every existing cache directory: a change here needs a SchemaVersion
+// bump and a reason.
+func TestCellKeyPinned(t *testing.T) {
+	r := NewRunner(ExpConfig{Window: 4 * dram.Millisecond, Calibrate: true})
+	if k := mustKey(t, r, "lbm", SchemeAquaMemMapped, 1000); k != "4d070c8baf6b2d4fd6fba68e0f26c1cf0fd2d87dcc4aeff791ce93cc5235e3c6" {
+		t.Errorf("lbm/aqua-memmapped/1000 cell key = %s", k)
+	}
+	k, err := r.ipcKey("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k != "8ec021f251a63c2a4c943c0d7b5e6852469fbc40fcf97a068fdf410bbf9c1a5f" {
+		t.Errorf("lbm calibration key = %s", k)
 	}
 }
 

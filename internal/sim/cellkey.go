@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/cellcache"
+	"repro/internal/dram"
 )
 
 // SchemaVersion names the generation of simulation semantics that cached
@@ -36,9 +37,9 @@ func baselineOf(name string) cellKey { return cellKey{name, SchemeBaseline, 1000
 
 // CellKey returns the content-addressed cache key for one grid cell: a
 // SHA-256 over the schema version, every ExpConfig field that determines
-// simulated numbers (window, cores, seed, calibration, geometry, timing,
-// the fault plans), the cell identity, and the per-core workload specs
-// with their static request budgets.
+// simulated numbers (window, seed, calibration, the fault plans), the
+// fixed machine (core count, geometry, timing), the cell identity, and
+// the per-core workload specs with their static request budgets.
 //
 // The key covers the cell's own fault plan and its workload's baseline
 // plan, because the cell is normalized against the baseline cell and
@@ -78,20 +79,21 @@ func (r *Runner) keyAt(version, kind string, k cellKey) (string, error) {
 	base := baselineOf(k.workload)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", version)
+	// The machine is fixed, but its core count, geometry and timing stay
+	// in the key so that keys written before they became constants
+	// still match.
 	fmt.Fprintf(&b, "window=%d cores=%d seed=%#x calibrate=%t\n",
-		r.cfg.Window, r.cfg.Cores, r.cfg.Seed, r.cfg.Calibrate)
-	fmt.Fprintf(&b, "geom=%+v\n", r.cfg.Geometry)
-	fmt.Fprintf(&b, "timing=%+v\n", r.cfg.Timing)
+		r.cfg.Window, cores, r.cfg.Seed, r.cfg.Calibrate)
+	fmt.Fprintf(&b, "geom=%+v\n", dram.Baseline())
+	fmt.Fprintf(&b, "timing=%+v\n", dram.DDR4())
 	fmt.Fprintf(&b, "%s=%s/%s/%d\n", kind, k.workload, k.scheme, k.trh)
 	fmt.Fprintf(&b, "faults=%+v baseline-faults=%+v\n",
 		r.cfg.Faults.PlanFor(k.workload, k.scheme.String(), k.trh),
 		r.cfg.Faults.PlanFor(base.workload, base.scheme.String(), base.trh))
-	windowInstr := float64(r.cfg.Window) / 1e12 * 3e9
-	for i := 0; i < r.cfg.Cores && i < len(specs); i++ {
-		sp := specs[i]
+	for i, sp := range specs {
 		fmt.Fprintf(&b, "core%d spec=%s mpki=%g rows=%d/%d/%d budget=%d\n",
 			i, sp.Name, sp.MPKI, sp.Rows166, sp.Rows500, sp.Rows1K,
-			int64(windowInstr*sp.MPKI/1000)+16)
+			requestBudget(r.cfg.Window, 1, sp.MPKI))
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:]), nil

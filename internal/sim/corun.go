@@ -41,12 +41,12 @@ func CoRun(scheme Scheme, trh int64, spec workload.Spec, window dram.PS, seed ui
 		return CoRunResult{}, fmt.Errorf("sim: co-run window must be positive")
 	}
 	region := VisibleRegion(Config{})
-	params := workload.Params{Cores: 4}
+	params := workload.Params{Cores: cores}
 
 	victimIPC := func(s Scheme, withAttacker bool) (float64, int64, bool, error) {
 		cfg := Config{TRH: trh, Scheme: s, Seed: seed, Monitor: true}
-		streams := make([]cpu.Stream, 4)
-		reqs := int64(float64(window)/1e12*3e9*spec.MPKI/1000) + 16
+		streams := make([]cpu.Stream, cores)
+		reqs := requestBudget(window, 1, spec.MPKI)
 		if withAttacker {
 			streams[0] = attack.NewRotatingDoS(region.Geom, region.VisibleRowsPerBank,
 				max64(trh/2, 1), 1<<40)
@@ -56,7 +56,7 @@ func CoRun(scheme Scheme, trh int64, spec workload.Spec, window dram.PS, seed ui
 			gen := workload.NewGenerator(spec, region, 0, seed^0x1d1e, params)
 			streams[0] = gen.Stream(reqs, seed)
 		}
-		for i := 1; i < 4; i++ {
+		for i := 1; i < cores; i++ {
 			gen := workload.NewGenerator(spec, region, i, seed, params)
 			streams[i] = gen.Stream(reqs, seed+uint64(i)*7919)
 		}
@@ -76,8 +76,8 @@ func CoRun(scheme Scheme, trh int64, spec workload.Spec, window dram.PS, seed ui
 		if end <= 0 {
 			return 0, 0, false, fmt.Errorf("sim: co-run made no progress")
 		}
-		cycles := float64(end) / 1e12 * 3e9
-		return float64(instr) / cycles / 3, res.MitStats.Mitigations, res.Violated, nil
+		cycles := float64(end) / 1e12 * cpu.FreqHz
+		return float64(instr) / cycles / (cores - 1), res.MitStats.Mitigations, res.Violated, nil
 	}
 
 	solo, _, _, err := victimIPC(SchemeBaseline, false)

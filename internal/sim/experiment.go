@@ -27,8 +27,6 @@ type ExpConfig struct {
 	// Window is the simulated measurement window (default one refresh
 	// window, 64ms, matching the paper's per-64ms metrics).
 	Window dram.PS
-	// Cores (default 4).
-	Cores int
 	// Seed for workload and scheme randomization.
 	Seed uint64
 	// Calibrate runs a baseline pass first and regenerates streams with
@@ -42,9 +40,6 @@ type ExpConfig struct {
 	// model").
 	//aquakey:exclude concurrency width changes wall-clock only; results are collected by index
 	Parallel int
-	// Geometry/Timing override the baseline system.
-	Geometry dram.Geometry
-	Timing   dram.Timing
 	// Faults maps grid cells to injected fault plans (see fault.ParseRules
 	// for the grammar). Nil means no faults anywhere. Cell-level kinds
 	// ("panic", "transient") fire before the simulation is built; hardware
@@ -80,15 +75,6 @@ func (e *ExpConfig) fillDefaults() {
 	if e.Window == 0 {
 		e.Window = 64 * dram.Millisecond
 	}
-	if e.Cores == 0 {
-		e.Cores = 4
-	}
-	if e.Geometry == (dram.Geometry{}) {
-		e.Geometry = dram.Baseline()
-	}
-	if e.Timing == (dram.Timing{}) {
-		e.Timing = dram.DDR4()
-	}
 	if e.Seed == 0 {
 		e.Seed = 0x41515541 // "AQUA"
 	}
@@ -109,13 +95,7 @@ func (e *ExpConfig) validate() error {
 	if e.Window < 0 {
 		return fmt.Errorf("sim: negative window %d", e.Window)
 	}
-	if e.Cores < 1 || e.Cores > 4 {
-		return fmt.Errorf("sim: cores must be 1..4, got %d", e.Cores)
-	}
-	if err := e.Geometry.Validate(); err != nil {
-		return err
-	}
-	return e.Timing.Validate()
+	return nil
 }
 
 // Default ExpConfig calibration flag handling: zero value means enabled.
@@ -141,13 +121,13 @@ type WorkloadRun struct {
 // build.
 type Runner struct {
 	cfg ExpConfig
-	// region is the software-visible address region, fixed for the
-	// Runner's geometry/timing and shared by every stream build.
+	// region is the software-visible address region of the baseline
+	// rank, shared by every stream build.
 	region workload.Region
-	// initErr records a construction failure (bad config, geometry the
-	// AQUA layout cannot host). A Runner with initErr set is inert: every
-	// cell it is asked to run fails with a CellError wrapping initErr
-	// instead of crashing the process.
+	// initErr records a construction failure (a negative window). A
+	// Runner with initErr set is inert: every cell it is asked to run
+	// fails with a CellError wrapping initErr instead of crashing the
+	// process.
 	initErr error
 	// retryBackoff, when set, is called before re-attempt n (1-based) of a
 	// transiently failing cell. Nil means retry immediately; tests hook it
@@ -194,23 +174,14 @@ type genKey struct {
 // the construction error (use NewRunnerE or Err to see it directly).
 func NewRunner(cfg ExpConfig) *Runner {
 	cfg.fillDefaults()
-	r := &Runner{
+	return &Runner{
 		cfg:         cfg,
+		region:      VisibleRegion(Config{}),
+		initErr:     cfg.validate(),
 		genCache:    make(map[genKey]*workload.Generator),
 		traceMem:    make(map[genKey]*trace.Packed),
 		traceBudget: traceBudgetBytes,
 	}
-	if err := cfg.validate(); err != nil {
-		r.initErr = err
-		return r
-	}
-	// VisibleRegion walks the AQUA table layout, which rejects geometries
-	// it cannot host by panicking; convert that into a construction error.
-	r.initErr = flight.Protect(func() error {
-		r.region = VisibleRegion(Config{Geometry: cfg.Geometry, Timing: cfg.Timing})
-		return nil
-	})
-	return r
 }
 
 // NewRunnerE is NewRunner with the construction error surfaced.
@@ -308,14 +279,9 @@ func (r *Runner) streamsFor(name string, nominalIPC float64) ([]cpu.Stream, erro
 	if err != nil {
 		return nil, err
 	}
-	if len(specs) < r.cfg.Cores {
-		return nil, fmt.Errorf("sim: case %q has %d specs for %d cores", name, len(specs), r.cfg.Cores)
-	}
-	windowInstr := float64(r.cfg.Window) / 1e12 * 3e9 * nominalIPC
-	out := make([]cpu.Stream, r.cfg.Cores)
-	for i := 0; i < r.cfg.Cores; i++ {
-		spec := specs[i]
-		reqs := int64(windowInstr*spec.MPKI/1000) + 16
+	out := make([]cpu.Stream, cores)
+	for i, spec := range specs {
+		reqs := requestBudget(r.cfg.Window, nominalIPC, spec.MPKI)
 		if r.cfg.DisableTraceReplay {
 			gen := r.generator(spec, i, nominalIPC)
 			out[i] = gen.Stream(reqs, r.cfg.Seed+uint64(i)*7919)
@@ -324,6 +290,14 @@ func (r *Runner) streamsFor(name string, nominalIPC float64) ([]cpu.Stream, erro
 		out[i] = r.replayStream(spec, i, nominalIPC, reqs)
 	}
 	return out, nil
+}
+
+// requestBudget is one core's request count for a window of simulated
+// time at the given IPC: the window's instruction budget at the core
+// clock, converted to requests through the workload's MPKI, plus a floor
+// of 16 so that a near-idle workload still issues.
+func requestBudget(window dram.PS, ipc, mpki float64) int64 {
+	return int64(float64(window)/1e12*cpu.FreqHz*ipc*mpki/1000) + 16
 }
 
 // generator returns the shared generator for (spec, core, nominal IPC),
@@ -339,9 +313,9 @@ func (r *Runner) generator(spec workload.Spec, coreIdx int, nominalIPC float64) 
 		return gen
 	}
 	params := workload.Params{
-		EpochLength: r.cfg.Timing.TREFW,
+		EpochLength: dram.DDR4().TREFW,
 		NominalIPC:  nominalIPC,
-		Cores:       r.cfg.Cores,
+		Cores:       cores,
 	}
 	gen = workload.NewGenerator(spec, r.region, coreIdx, r.cfg.Seed, params)
 	r.mu.Lock()
@@ -408,8 +382,8 @@ func (r *Runner) injectorFor(name string, scheme Scheme, trh int64, attempt int)
 	return inj, nil
 }
 
-// runOnce builds and runs one system with structural overrides (tracker
-// kind, bloom/cache sizing, proactive drain) merged in.
+// runOnce builds and runs one system with structural overrides (bloom and
+// FPT-Cache sizing, proactive drain) merged in.
 func (r *Runner) runOnce(ctx context.Context, name string, scheme Scheme, trh int64, nominalIPC float64, overrides Config, attempt int) (Result, error) {
 	streams, err := r.streamsFor(name, nominalIPC)
 	if err != nil {
@@ -420,13 +394,9 @@ func (r *Runner) runOnce(ctx context.Context, name string, scheme Scheme, trh in
 		return Result{}, err
 	}
 	cfg := Config{
-		Geometry:        r.cfg.Geometry,
-		Timing:          r.cfg.Timing,
 		TRH:             trh,
 		Scheme:          scheme,
-		Cores:           r.cfg.Cores,
 		Seed:            r.cfg.Seed,
-		Tracker:         overrides.Tracker,
 		BloomGroupSize:  overrides.BloomGroupSize,
 		FPTCacheEntries: overrides.FPTCacheEntries,
 		ProactiveDrain:  overrides.ProactiveDrain,
@@ -675,14 +645,14 @@ func (r *Runner) RowTierCounts(name string, tiers []int64) (map[int64]int, error
 	if err != nil {
 		return nil, err
 	}
-	cfg := Config{
-		Geometry: r.cfg.Geometry, Timing: r.cfg.Timing,
-		TRH: 1000, Scheme: SchemeBaseline, Cores: r.cfg.Cores, Seed: r.cfg.Seed,
-	}
-	sys, err := NewSystemE(cfg, streams)
+	sys, err := NewSystemE(Config{TRH: 1000, Scheme: SchemeBaseline, Seed: r.cfg.Seed}, streams)
 	if err != nil {
 		return nil, err
 	}
+	// The baseline system has no other activation listener, so this one
+	// takes the rank's single-listener fast path.
+	acts := make([]uint32, sys.Cfg.Geometry.Rows())
+	sys.Rank.Listen(func(row dram.Row, _ dram.PS) { acts[row]++ })
 	res := sys.Run(0)
 
 	scale := float64(res.SimTime) / float64(64*dram.Millisecond)
@@ -690,11 +660,9 @@ func (r *Runner) RowTierCounts(name string, tiers []int64) (map[int64]int, error
 		scale = 1
 	}
 	counts := make(map[int64]int, len(tiers))
-	rows := cfg.Geometry.Rows()
-	for row := 0; row < rows; row++ {
-		acts := float64(sys.Rank.ActCount(dram.Row(row)))
+	for _, n := range acts {
 		for _, tier := range tiers {
-			if acts >= float64(tier)*scale {
+			if float64(n) >= float64(tier)*scale {
 				counts[tier]++
 			}
 		}

@@ -34,9 +34,7 @@ func resCfg(faults *fault.Rules) ExpConfig {
 // an inert Runner and an error, never a panic or process abort.
 func TestNewRunnerInvalidConfig(t *testing.T) {
 	cases := []ExpConfig{
-		{Cores: 9},
 		{Window: -1},
-		{Geometry: dram.Geometry{RowsPerBank: 7, Banks: 3}},
 	}
 	for _, cfg := range cases {
 		r, err := NewRunnerE(cfg)

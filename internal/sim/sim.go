@@ -25,7 +25,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/rrs"
 	"repro/internal/security"
-	"repro/internal/tracker"
 	"repro/internal/vrefresh"
 	"repro/internal/workload"
 )
@@ -87,9 +86,6 @@ type Config struct {
 	Monitor bool
 	// Seed drives scheme randomization.
 	Seed uint64
-	// Tracker selects the aggressor tracker for AQUA/RRS/victim-refresh
-	// (default Misra-Gries, the paper's baseline).
-	Tracker TrackerKind
 	// BloomGroupSize and FPTCacheEntries override AQUA's memory-mapped
 	// structures for the Section V-F sensitivity study (0 = paper
 	// defaults: groups of 16 and 4K entries).
@@ -113,32 +109,9 @@ type Config struct {
 	Faults *fault.Injector
 }
 
-// TrackerKind selects an aggressor-tracker implementation.
-type TrackerKind int
-
-const (
-	// TrackerMisraGries is the Graphene-style per-bank tracker (default).
-	TrackerMisraGries TrackerKind = iota
-	// TrackerHydra is the storage-optimized hybrid tracker (Appendix B's
-	// AQUA-Hydra configuration).
-	TrackerHydra
-	// TrackerExact is the idealized exact tracker.
-	TrackerExact
-)
-
-// build constructs a tracker for the given effective threshold.
-func (k TrackerKind) build(geom dram.Geometry, timing dram.Timing, threshold int64) tracker.Tracker {
-	switch k {
-	case TrackerMisraGries:
-		return nil // let the engine provision its default
-	case TrackerHydra:
-		return tracker.NewHydra(geom, threshold, 128)
-	case TrackerExact:
-		return tracker.NewExact(geom, threshold)
-	default:
-		panic(fmt.Sprintf("sim: unknown tracker kind %d", k))
-	}
-}
+// cores is the core count of the paper's system (Table I). Every Runner
+// cell and every CoRun leg simulates this many cores.
+const cores = 4
 
 func (c *Config) fillDefaults() {
 	if c.Geometry == (dram.Geometry{}) {
@@ -151,7 +124,7 @@ func (c *Config) fillDefaults() {
 		c.TRH = 1000
 	}
 	if c.Cores == 0 {
-		c.Cores = 4
+		c.Cores = cores
 	}
 }
 
@@ -210,12 +183,10 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 	}
 
 	aquaCfg := func(mode core.Mode) core.Config {
-		trh := cfg.TRH
 		return core.Config{
-			TRH:             trh,
+			TRH:             cfg.TRH,
 			Mode:            mode,
 			Seed:            cfg.Seed,
-			Tracker:         cfg.Tracker.build(cfg.Geometry, cfg.Timing, max64(trh/2, 1)),
 			BloomGroupSize:  cfg.BloomGroupSize,
 			FPTCacheEntries: cfg.FPTCacheEntries,
 			ProactiveDrain:  cfg.ProactiveDrain,
@@ -233,17 +204,11 @@ func NewSystem(cfg Config, streams []cpu.Stream) *System {
 		s.Aqua = core.New(rank, aquaCfg(core.ModeMemMapped))
 		s.Mit = s.Aqua
 	case SchemeRRS:
-		s.Mit = rrs.New(rank, rrs.Config{
-			TRH: cfg.TRH, Seed: cfg.Seed,
-			Tracker: cfg.Tracker.build(cfg.Geometry, cfg.Timing, max64(cfg.TRH/rrs.SwapDivisor, 1)),
-		})
+		s.Mit = rrs.New(rank, rrs.Config{TRH: cfg.TRH, Seed: cfg.Seed})
 	case SchemeBlockhammer:
 		s.Mit = blockhammer.New(rank, blockhammer.Config{TRH: cfg.TRH})
 	case SchemeVictimRefresh:
-		s.Mit = vrefresh.New(rank, vrefresh.Config{
-			TRH:     cfg.TRH,
-			Tracker: cfg.Tracker.build(cfg.Geometry, cfg.Timing, max64(cfg.TRH/2, 1)),
-		})
+		s.Mit = vrefresh.New(rank, vrefresh.Config{TRH: cfg.TRH})
 	default:
 		panic(fmt.Sprintf("sim: unknown scheme %d", cfg.Scheme))
 	}
@@ -480,11 +445,7 @@ func (s *System) result(until dram.PS) Result {
 		CtrlStats: s.Ctrl.Stats(),
 	}
 	if end > 0 {
-		freq := float64(s.Cfg.CoreCfg.FreqHz)
-		if freq == 0 {
-			freq = 3e9
-		}
-		cycles := float64(end) / 1e12 * freq
+		cycles := float64(end) / 1e12 * cpu.FreqHz
 		res.IPC = float64(instr) / cycles / float64(len(s.Cores))
 		res.MigrationsPer64ms = float64(res.MitStats.RowMigrations) *
 			float64(64*dram.Millisecond) / float64(end)
@@ -498,18 +459,6 @@ func (s *System) result(until dram.PS) Result {
 	}
 	res.FaultStats = s.Cfg.Faults.Stats()
 	return res
-}
-
-// WorkloadStreams builds per-core streams for a SPEC rate workload: every
-// core runs its own copy (its own hot rows), sized to reqsPerCore
-// requests.
-func WorkloadStreams(spec workload.Spec, region workload.Region, cores int, reqsPerCore int64, seed uint64, params workload.Params) []cpu.Stream {
-	streams := make([]cpu.Stream, cores)
-	for i := 0; i < cores; i++ {
-		gen := workload.NewGenerator(spec, region, i, seed, params)
-		streams[i] = gen.Stream(reqsPerCore, seed+uint64(i)*7919)
-	}
-	return streams
 }
 
 func max64(a, b int64) int64 {

@@ -21,7 +21,12 @@ func xzStreams(t *testing.T, reqs int64) []cpu.Stream {
 		t.Fatal("xz spec missing")
 	}
 	region := VisibleRegion(Config{})
-	return WorkloadStreams(spec, region, 4, reqs, 1, workload.Params{})
+	streams := make([]cpu.Stream, cores)
+	for i := range streams {
+		gen := workload.NewGenerator(spec, region, i, 1, workload.Params{})
+		streams[i] = gen.Stream(reqs, 1+uint64(i)*7919)
+	}
+	return streams
 }
 
 func TestSchemeStrings(t *testing.T) {
@@ -193,21 +198,6 @@ func TestBreakdownSumsToOne(t *testing.T) {
 	sum := bd.BloomFiltered + bd.CacheHit + bd.Singleton + bd.DRAM
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("breakdown sums to %g", sum)
-	}
-}
-
-func TestTrackerKindsRun(t *testing.T) {
-	for _, kind := range []TrackerKind{TrackerMisraGries, TrackerHydra, TrackerExact} {
-		cfg := fastCfg(SchemeAquaMemMapped)
-		cfg.Tracker = kind
-		sys := NewSystem(cfg, xzStreams(t, 500))
-		res := sys.Run(0)
-		if res.Requests == 0 {
-			t.Errorf("tracker %d: no requests", kind)
-		}
-		if res.Violated {
-			t.Errorf("tracker %d: violated", kind)
-		}
 	}
 }
 

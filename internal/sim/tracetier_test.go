@@ -50,13 +50,12 @@ func TestTraceTierCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := r.CellStats()
-	cores := int64(r.Config().Cores)
 	if stats.TraceCaptures != cores {
 		t.Fatalf("TraceCaptures = %d, want %d (one per core)", stats.TraceCaptures, cores)
 	}
 	// Three runs build streams (the baseline measurement plus two scheme
 	// cells); the first captures, the other two replay.
-	if want := 2 * cores; stats.TraceReplays != want {
+	if want := int64(2 * cores); stats.TraceReplays != want {
 		t.Fatalf("TraceReplays = %d, want %d", stats.TraceReplays, want)
 	}
 
@@ -89,7 +88,6 @@ func TestTraceBudgetFallback(t *testing.T) {
 		t.Fatalf("over-budget grid diverged from in-memory-tier grid")
 	}
 	stats := r.CellStats()
-	cores := int64(r.Config().Cores)
 	if stats.TraceCaptures != 3*cores {
 		t.Fatalf("TraceCaptures = %d, want %d (every build recaptures)", stats.TraceCaptures, 3*cores)
 	}

@@ -119,6 +119,12 @@ func (r Region) RowAt(i int) dram.Row {
 // VisibleRows returns the number of addressable rows.
 func (r Region) VisibleRows() int { return r.rows() * r.Geom.Banks }
 
+// writeFraction of requests are writebacks.
+const writeFraction = 0.3
+
+// backgroundRows sizes each core's cold working set.
+const backgroundRows = 64 * 1024
+
 // Params tunes stream generation.
 type Params struct {
 	// EpochLength is the activation-accounting window (default 64ms).
@@ -126,15 +132,9 @@ type Params struct {
 	// NominalIPC is the assumed per-core IPC used to convert MPKI into
 	// per-epoch request budgets (default 1.0).
 	NominalIPC float64
-	// FreqHz is the core clock (default 3GHz).
-	FreqHz int64
 	// Cores is the number of cores sharing the Table II row counts
 	// (default 4).
 	Cores int
-	// WriteFraction of requests are writebacks (default 0.3).
-	WriteFraction float64
-	// BackgroundRows sizes the cold working set per core (default 64K).
-	BackgroundRows int
 	// BackgroundBurst is the mean number of consecutive accesses to the
 	// same background row (row-buffer locality; default 4). Hot-row
 	// accesses are not bursty: interleaving across the hot set makes
@@ -150,17 +150,8 @@ func (p *Params) fillDefaults() {
 	if p.NominalIPC == 0 {
 		p.NominalIPC = 1.0
 	}
-	if p.FreqHz == 0 {
-		p.FreqHz = 3_000_000_000
-	}
 	if p.Cores == 0 {
 		p.Cores = 4
-	}
-	if p.WriteFraction == 0 {
-		p.WriteFraction = 0.3
-	}
-	if p.BackgroundRows == 0 {
-		p.BackgroundRows = 64 * 1024
 	}
 	if p.BackgroundBurst == 0 {
 		p.BackgroundBurst = 4
@@ -240,7 +231,7 @@ func NewGenerator(spec Spec, region Region, coreIdx int, seed uint64, params Par
 	addTier(n166, 166, 500)
 
 	// Requests this core issues per epoch at the nominal IPC.
-	reqsPerEpoch := spec.MPKI / 1000 * params.NominalIPC * float64(params.FreqHz) *
+	reqsPerEpoch := spec.MPKI / 1000 * params.NominalIPC * cpu.FreqHz *
 		(float64(params.EpochLength) / 1e12)
 	var hotActs float64
 	g.cum = make([]float64, len(g.hot))
@@ -266,10 +257,7 @@ func NewGenerator(spec Spec, region Region, coreIdx int, seed uint64, params Par
 	}
 
 	// Cold background working set.
-	bg := params.BackgroundRows
-	if bg > visible {
-		bg = visible
-	}
+	bg := min(backgroundRows, visible)
 	g.background = make([]dram.Row, bg)
 	for i := range g.background {
 		g.background[i] = pick()
@@ -348,7 +336,7 @@ func (s *stream) Next() (cpu.Request, bool) {
 	gap := g.gapInstr/2 + int64(g.gapDraw.Draw(s.r))
 	return cpu.Request{
 		Row:      row,
-		Write:    s.r.Float64() < g.params.WriteFraction,
+		Write:    s.r.Float64() < writeFraction,
 		GapInstr: gap,
 	}, true
 }

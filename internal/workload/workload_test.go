@@ -207,7 +207,7 @@ func TestBurstLocality(t *testing.T) {
 
 func TestWriteFraction(t *testing.T) {
 	spec, _ := ByName("mcf")
-	gen := NewGenerator(spec, testRegion(), 0, 11, Params{WriteFraction: 0.5})
+	gen := NewGenerator(spec, testRegion(), 0, 11, Params{})
 	s := gen.Stream(4000, 11)
 	writes := 0
 	for {
@@ -219,8 +219,8 @@ func TestWriteFraction(t *testing.T) {
 			writes++
 		}
 	}
-	if writes < 1600 || writes > 2400 {
-		t.Fatalf("writes = %d of 4000, want ~2000", writes)
+	if writes < 1000 || writes > 1400 {
+		t.Fatalf("writes = %d of 4000, want ~1200 (writeFraction 0.3)", writes)
 	}
 }
 
