@@ -753,6 +753,15 @@ func (l *Lab) SortedCacheKeys() []string {
 	return keys
 }
 
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
+// pct formats a fraction as a percentage with one decimal. A value that
+// rounds to zero prints as "0.0%" whatever its sign: a geomean a hair
+// above 1 would otherwise show a "-0.0%" slowdown.
+func pct(v float64) string {
+	s := fmt.Sprintf("%.1f%%", v*100)
+	if s == "-0.0%" {
+		return "0.0%"
+	}
+	return s
+}
 
 func kb(bytes int) string { return fmt.Sprintf("%.1f KB", float64(bytes)/1024) }

@@ -238,3 +238,16 @@ func TestLabCoRunReport(t *testing.T) {
 		t.Fatal("ghost workload accepted")
 	}
 }
+
+func TestPctNeverPrintsNegativeZero(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{
+		{-0.0004, "0.0%"}, {0.0004, "0.0%"}, {0, "0.0%"}, {-0.0006, "-0.1%"}, {0.0123, "1.2%"},
+	} {
+		if got := pct(c.v); got != c.want {
+			t.Errorf("pct(%v) = %q, want %q", c.v, got, c.want)
+		}
+	}
+}
