@@ -26,10 +26,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke against the AQUA engine's structural invariants and
-# the v1 binary trace reader (the on-disk format tracedump reads).
+# Short fuzz smoke against the AQUA engine's structural invariants, the
+# bounded Misra-Gries tracker against its dense-array reference, and the
+# v1 binary trace reader (the on-disk format tracedump reads).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCore -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzMisraGries -fuzztime=10s ./internal/tracker
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=10s ./internal/trace
 
 # Default-seed digest check: one pass of the benchmark's grid_cold (180

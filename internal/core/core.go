@@ -36,6 +36,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/mitigation"
+	"repro/internal/rowmap"
 	"repro/internal/sramcache"
 	"repro/internal/tracker"
 )
@@ -163,11 +164,13 @@ type Engine struct {
 	rptTableRows    int
 	tableRowsPerBnk int
 
-	// fptSlot is the authoritative forward mapping: install row -> RQA slot
-	// (-1 when not quarantined). In hardware this is the FPT content; the
-	// SRAM CAT / in-DRAM table model the *access cost* of reaching it.
-	fptSlot []int32
-	rpt     []rptEntry
+	// fpt is the authoritative forward mapping: install row -> RQA slot,
+	// holding exactly the quarantined rows. In hardware this is the FPT
+	// content; the SRAM CAT / in-DRAM table model the *access cost* of
+	// reaching it. Every entry has a valid RPT slot (CheckInvariants
+	// asserts the bijection), so it is sized to the RQA, not to the rank.
+	fpt rowmap.Map
+	rpt []rptEntry
 	// fast is the Translate fast path: bit `row` is set exactly when the
 	// row resolves to itself through the slow path's cheapest early
 	// return — not an RQA slot or table row, not quarantined, and
@@ -300,11 +303,8 @@ func New(rank *dram.Rank, cfg Config) *Engine {
 		fptTableRows:    l.fptTableRows,
 		rptTableRows:    l.rptTableRows,
 		tableRowsPerBnk: l.tableRowsPerBnk,
-		fptSlot:         make([]int32, geom.Rows()),
+		fpt:             rowmap.New(rqa),
 		rpt:             make([]rptEntry, rqa),
-	}
-	for i := range e.fptSlot {
-		e.fptSlot[i] = -1
 	}
 	for i := range e.rpt {
 		e.rpt[i].epochUsed = -1
@@ -440,7 +440,7 @@ func (e *Engine) VisibleRowsPerBank() int {
 func (e *Engine) RQASize() int { return e.rqaRows }
 
 // IsQuarantined reports whether install row x currently lives in the RQA.
-func (e *Engine) IsQuarantined(x dram.Row) bool { return e.fptSlot[x] >= 0 }
+func (e *Engine) IsQuarantined(x dram.Row) bool { return e.fpt.Has(x) }
 
 // QuarantinedCount returns the number of currently quarantined rows.
 func (e *Engine) QuarantinedCount() int {
@@ -509,7 +509,7 @@ func (e *Engine) fastEligible(r dram.Row) bool {
 	if _, isSlot := e.rowSlot(r); isSlot {
 		return false
 	}
-	if e.isTableRow(r) || e.fptSlot[r] >= 0 {
+	if e.isTableRow(r) || e.fpt.Has(r) {
 		return false
 	}
 	if e.cfg.Mode == ModeMemMapped && e.bloom.GroupOccupancy(uint32(r)) > 0 {
@@ -548,14 +548,14 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 
 	// The forward-table read is deferred into the branches that resolve
 	// through it: the memory-mapped bloom/cache/singleton paths below
-	// never consult fptSlot directly (the FPT-Cache and the in-DRAM walk
-	// carry the mapping), so probing the big array up front would cost
-	// every bloom false positive a pointless cache miss.
+	// never consult the forward map directly (the FPT-Cache and the
+	// in-DRAM walk carry the mapping), so probing it up front would cost
+	// every bloom false positive a pointless probe.
 
 	// Rows holding AQUA's own tables resolve from pinned SRAM entries.
 	if e.isTableRow(row) {
 		phys := row
-		if s := e.fptSlot[row]; s >= 0 {
+		if s, ok := e.fpt.Get(row); ok {
 			phys = e.slotRow(int(s))
 		}
 		e.stats.Lookups[mitigation.LookupPinned]++
@@ -564,7 +564,7 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 
 	if e.cfg.Mode == ModeSRAM {
 		phys := row
-		if s := e.fptSlot[row]; s >= 0 {
+		if s, ok := e.fpt.Get(row); ok {
 			phys = e.slotRow(int(s))
 		}
 		e.stats.Lookups[mitigation.LookupSRAM]++
@@ -581,7 +581,7 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 		// Poisoned FPT-Cache entry: drop it so the lookup must walk the
 		// in-DRAM FPT below, which re-inserts the authoritative mapping —
 		// the cache self-heals and the translation stays correct (the
-		// fptSlot array, not the cache, is the source of truth).
+		// forward map, not the cache, is the source of truth).
 		e.fptCache.Invalidate(uint32(row))
 	}
 	lat += cacheLatency
@@ -599,7 +599,7 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 	done := e.tableAccess(e.fptTableRowFor(row), false, now+lat)
 	lat = done - now
 	e.stats.Lookups[mitigation.LookupDRAM]++
-	if s := e.fptSlot[row]; s >= 0 {
+	if s, ok := e.fpt.Get(row); ok {
 		e.fptCache.Insert(uint32(row), uint16(s), e.bloom.GroupOccupancy(uint32(row)) == 1)
 		return mitigation.Translation{PhysRow: e.slotRow(int(s)), Latency: lat, Class: mitigation.LookupDRAM}
 	}
@@ -611,7 +611,7 @@ func (e *Engine) translateSlow(row dram.Row, now dram.PS) mitigation.Translation
 // resulting activation to the tracker via the pending queue.
 func (e *Engine) tableAccess(tr dram.Row, write bool, at dram.PS) dram.PS {
 	phys := tr
-	if s := e.fptSlot[tr]; s >= 0 {
+	if s, ok := e.fpt.Get(tr); ok {
 		phys = e.slotRow(int(s))
 	}
 	done, activated := e.rank.Access(phys, write, at)
@@ -678,7 +678,7 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 		e.quarCount--
 		srcSlot = slot
 	} else {
-		if e.fptSlot[physRow] >= 0 {
+		if e.fpt.Has(physRow) {
 			// The original location of an already-quarantined row (its
 			// only ACTs come from evictions); demand accesses are routed
 			// to the RQA, so no action is needed here.
@@ -728,8 +728,8 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 	e.stats.RowMigrations++
 
 	// Update FPT and RPT.
-	wasQuarantined := e.fptSlot[install] >= 0
-	e.fptSlot[install] = int32(d)
+	wasQuarantined := e.fpt.Has(install)
+	e.fpt.Put(install, int32(d))
 	e.setFast(install, false) // quarantined rows always take the slow path
 	e.rpt[d] = rptEntry{install: install, valid: true, epochUsed: e.epoch}
 	e.quarCount++
@@ -764,7 +764,8 @@ func (e *Engine) mitigate(physRow dram.Row, at dram.PS) dram.PS {
 	if e.chk != nil {
 		// O(1) structural checks on the slot just written; the full-table
 		// sweep runs at epoch boundaries.
-		e.chk.Checkf(e.fptSlot[install] == int32(d) && e.rpt[d].valid && e.rpt[d].install == install,
+		s, _ := e.fpt.Get(install)
+		e.chk.Checkf(s == int32(d) && e.rpt[d].valid && e.rpt[d].install == install,
 			"core", "fpt-rpt-bijection", t,
 			"install row %d and slot %d disagree after quarantine", install, d)
 		e.chk.Checkf(e.quarCount <= e.rqaRows, "core", "rqa-occupancy", t,
@@ -852,7 +853,7 @@ func (e *Engine) corruptTracker(at dram.PS) {
 // clearMapping removes install row old from all mapping structures after
 // its eviction completes at time t.
 func (e *Engine) clearMapping(old dram.Row, t dram.PS) {
-	e.fptSlot[old] = -1
+	e.fpt.Delete(old)
 	switch e.cfg.Mode {
 	case ModeSRAM:
 		e.fptCAT.Delete(old)
@@ -974,28 +975,27 @@ func (e *Engine) StatsReset() {
 // CheckInvariants validates the engine's structural invariants; tests call
 // it after arbitrary operation sequences:
 //
-//   - forward/backward consistency: fptSlot[x] = s implies rpt[s] is valid
+//   - forward/backward consistency: fpt[x] = s implies rpt[s] is valid
 //     and points back to x, and vice versa;
 //   - no two install rows share an RQA slot;
 //   - in memory-mapped mode, the bloom filter's per-group occupancy equals
 //     the number of quarantined (non-table) rows in that group, and every
 //     quarantined row tests positive.
 func (e *Engine) CheckInvariants() error {
-	quarantined := 0
-	for x, s := range e.fptSlot {
-		if s < 0 {
-			continue
+	var err error
+	e.fpt.Range(func(x dram.Row, s int32) bool {
+		switch {
+		case s < 0 || int(s) >= len(e.rpt):
+			err = fmt.Errorf("core: fpt[%d] = %d out of RQA range", x, s)
+		case !e.rpt[s].valid:
+			err = fmt.Errorf("core: fpt[%d] = %d but slot invalid", x, s)
+		case e.rpt[s].install != x:
+			err = fmt.Errorf("core: slot %d holds %d, expected %d", s, e.rpt[s].install, x)
 		}
-		quarantined++
-		if int(s) >= len(e.rpt) {
-			return fmt.Errorf("core: fptSlot[%d] = %d out of RQA range", x, s)
-		}
-		if !e.rpt[s].valid {
-			return fmt.Errorf("core: fptSlot[%d] = %d but slot invalid", x, s)
-		}
-		if e.rpt[s].install != dram.Row(x) {
-			return fmt.Errorf("core: slot %d holds %d, expected %d", s, e.rpt[s].install, x)
-		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	valid := 0
 	for s, ent := range e.rpt {
@@ -1003,13 +1003,13 @@ func (e *Engine) CheckInvariants() error {
 			continue
 		}
 		valid++
-		if e.fptSlot[ent.install] != int32(s) {
-			return fmt.Errorf("core: slot %d points to %d whose fptSlot is %d",
-				s, ent.install, e.fptSlot[ent.install])
+		if got, ok := e.fpt.Get(ent.install); !ok || got != int32(s) {
+			return fmt.Errorf("core: slot %d points to %d whose fpt entry is %d (present %v)",
+				s, ent.install, got, ok)
 		}
 	}
-	if quarantined != valid {
-		return fmt.Errorf("core: %d forward pointers vs %d valid slots", quarantined, valid)
+	if e.fpt.Len() != valid {
+		return fmt.Errorf("core: %d forward pointers vs %d valid slots", e.fpt.Len(), valid)
 	}
 	for r := uint64(0); r < e.fastRows; r++ {
 		have := e.fast[r>>6]&(1<<(r&63)) != 0
@@ -1019,13 +1019,17 @@ func (e *Engine) CheckInvariants() error {
 	}
 	if e.cfg.Mode == ModeMemMapped {
 		occ := make(map[uint32]int)
-		for x, s := range e.fptSlot {
-			if s >= 0 && !e.isTableRow(dram.Row(x)) {
+		e.fpt.Range(func(x dram.Row, _ int32) bool {
+			if !e.isTableRow(x) {
 				occ[e.bloom.GroupOf(uint32(x))]++
 				if !e.bloom.MightContain(uint32(x)) {
-					return fmt.Errorf("core: quarantined row %d tests negative in bloom", x)
+					err = fmt.Errorf("core: quarantined row %d tests negative in bloom", x)
 				}
 			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 		for g, n := range occ {
 			row := g * uint32(e.bloom.GroupSize())

@@ -526,7 +526,9 @@ func TestModesMakeIdenticalQuarantineDecisions(t *testing.T) {
 			if sram.IsQuarantined(x) != mm.IsQuarantined(x) {
 				return false
 			}
-			if sram.IsQuarantined(x) && sram.fptSlot[x] != mm.fptSlot[x] {
+			ss, _ := sram.fpt.Get(x)
+			ms, _ := mm.fpt.Get(x)
+			if ss != ms {
 				return false
 			}
 		}

@@ -19,9 +19,11 @@ package perf
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/event"
+	"repro/internal/rowmap"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracker"
@@ -123,9 +125,66 @@ func BenchTranslate(b *testing.B) {
 	}
 }
 
+// BenchTranslateQuarantined measures the AQUA engine's translation of
+// quarantined rows in SRAM mode: every op misses the fast bitmap and
+// resolves through the forward map to the row's RQA slot.
+func BenchTranslateQuarantined(b *testing.B) {
+	sys := sim.NewSystem(sim.Config{Scheme: sim.SchemeAquaSRAM, TRH: 1000, Cores: 1},
+		[]cpu.Stream{&SyntheticStream{}})
+	geom := sys.Rank.Geometry()
+	rows := make([]dram.Row, quarantinedRows)
+	at := dram.PS(0)
+	for i := range rows {
+		rows[i] = rowPattern(geom, i)
+		at = quarantine(sys.Aqua, rows[i], at)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := sys.Mit.Translate(rows[i%quarantinedRows], at)
+		at += tr.Latency
+	}
+}
+
+// quarantinedRows is how many rows BenchTranslateQuarantined holds in
+// the RQA: well under its capacity at T_RH=1K (Table III), and enough to
+// spread over every bank.
+const quarantinedRows = 1024
+
+// quarantine hammers row through the engine's translate and activate
+// path, starting at time at, until the engine quarantines it; it returns
+// the time after the last activation. The row must be software-visible
+// and not yet quarantined.
+func quarantine(eng *core.Engine, row dram.Row, at dram.PS) dram.PS {
+	for !eng.IsQuarantined(row) {
+		tr := eng.Translate(row, at)
+		at += eng.OnActivate(tr.PhysRow, at) + 50*dram.Nanosecond
+	}
+	return at
+}
+
+// BenchTrackerACTStride measures RecordACT on rows that come in groups
+// spaced exactly one count-map length apart: each group shares its low
+// bits, the power-of-two stride that would pile the group onto one home
+// slot if the map indexed by the low bits alone. reqSpread rows in all,
+// so every row stays tracked.
+func BenchTrackerACTStride(b *testing.B) {
+	geom := dram.Baseline()
+	entries := tracker.ProvisionEntries(dram.DDR4(), 500)
+	tr := tracker.NewMisraGries(geom, 500, entries)
+	stride := rowmap.Slots(entries * geom.Banks)
+	group := geom.Rows() / stride
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % reqSpread
+		tr.RecordACT(dram.Row(j%group*stride + j/group))
+	}
+}
+
 // BenchTrackerACTHot measures the tracker's already-tracked fast path:
 // every op hits a row with a live Misra-Gries entry, so the cost is one
-// dense-array probe, increment, and divide-free threshold test.
+// count-map probe, increment, and divide-free threshold test.
 func BenchTrackerACTHot(b *testing.B) {
 	geom := dram.Baseline()
 	timing := dram.DDR4()

@@ -3,6 +3,7 @@ package perf
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/event"
@@ -12,18 +13,20 @@ import (
 	"repro/internal/workload"
 )
 
-func BenchmarkAccess(b *testing.B)          { BenchAccess(b) }
-func BenchmarkSubmit(b *testing.B)          { BenchSubmit(b) }
-func BenchmarkTrackerACT(b *testing.B)      { BenchTrackerACT(b) }
-func BenchmarkTrackerACTHot(b *testing.B)   { BenchTrackerACTHot(b) }
-func BenchmarkTrackerACTCold(b *testing.B)  { BenchTrackerACTCold(b) }
-func BenchmarkTranslate(b *testing.B)       { BenchTranslate(b) }
-func BenchmarkGeneratorStream(b *testing.B) { BenchGeneratorStream(b) }
-func BenchmarkTraceReplay(b *testing.B)     { BenchTraceReplay(b) }
-func BenchmarkEventPop(b *testing.B)        { BenchEventPop(b) }
-func BenchmarkIssueLoop4(b *testing.B)      { BenchIssueLoop4(b) }
-func BenchmarkIssueLoop8(b *testing.B)      { BenchIssueLoop8(b) }
-func BenchmarkIssueLoop16(b *testing.B)     { BenchIssueLoop16(b) }
+func BenchmarkAccess(b *testing.B)               { BenchAccess(b) }
+func BenchmarkSubmit(b *testing.B)               { BenchSubmit(b) }
+func BenchmarkTrackerACT(b *testing.B)           { BenchTrackerACT(b) }
+func BenchmarkTrackerACTHot(b *testing.B)        { BenchTrackerACTHot(b) }
+func BenchmarkTrackerACTCold(b *testing.B)       { BenchTrackerACTCold(b) }
+func BenchmarkTranslate(b *testing.B)            { BenchTranslate(b) }
+func BenchmarkTranslateQuarantined(b *testing.B) { BenchTranslateQuarantined(b) }
+func BenchmarkTrackerACTStride(b *testing.B)     { BenchTrackerACTStride(b) }
+func BenchmarkGeneratorStream(b *testing.B)      { BenchGeneratorStream(b) }
+func BenchmarkTraceReplay(b *testing.B)          { BenchTraceReplay(b) }
+func BenchmarkEventPop(b *testing.B)             { BenchEventPop(b) }
+func BenchmarkIssueLoop4(b *testing.B)           { BenchIssueLoop4(b) }
+func BenchmarkIssueLoop8(b *testing.B)           { BenchIssueLoop8(b) }
+func BenchmarkIssueLoop16(b *testing.B)          { BenchIssueLoop16(b) }
 
 // TestRequestPathZeroAlloc is the allocation budget: the steady-state
 // request path — cpu.Core.Issue through memctrl.Submit, the FPT
@@ -80,6 +83,37 @@ func TestTranslateTrackerZeroAlloc(t *testing.T) {
 		j++
 	}); avg != 0 {
 		t.Fatalf("RecordACT allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestQuarantineCycleZeroAlloc holds the budget for the mitigation path
+// in both table modes: once the RQA has wrapped, each cycle starts a new
+// epoch and quarantines a row whose slot must first evict a stale
+// occupant, so the forward map takes a delete and an insert and the
+// tracker resets. None of it may allocate.
+func TestQuarantineCycleZeroAlloc(t *testing.T) {
+	geom := dram.Baseline()
+	for _, mode := range []core.Mode{core.ModeSRAM, core.ModeMemMapped} {
+		eng := core.New(dram.NewRank(geom, dram.DDR4()), core.Config{TRH: 1000, Mode: mode, RQARows: 8})
+		at := dram.PS(0)
+		i := 0
+		cycle := func() {
+			eng.OnEpoch(at)
+			// 16 rows through an 8-slot RQA: each row was evicted long
+			// before its turn comes round again.
+			at = quarantine(eng, rowPattern(geom, i%16), at)
+			i++
+		}
+		for j := 0; j < 32; j++ {
+			cycle()
+		}
+		before := eng.Stats().Evictions
+		if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+			t.Fatalf("%v: quarantine cycle allocates %.2f allocs/op, want 0", mode, avg)
+		}
+		if eng.Stats().Evictions-before < 50 {
+			t.Fatalf("%v: %d evictions in 51 cycles, want one per cycle", mode, eng.Stats().Evictions-before)
+		}
 	}
 }
 
